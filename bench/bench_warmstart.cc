@@ -2,9 +2,9 @@
  * @file
  * Warm-start benchmark: cold vs warm startup of the software-only VM.
  *
- * The persistent translation repository (dbt/persist) lets a VM start
- * with every basic-block translation already installed, paying a small
- * up-front load cost instead of Delta_BBT on every first touch. This
+ * A warm-start translation image (dbt/image) lets a VM start with
+ * every basic-block translation already installed, paying a small
+ * up-front install cost instead of Delta_BBT on every first touch. This
  * harness quantifies the win on the startup metric the paper uses --
  * cycles to reach the first N instructions -- by running VM.soft and
  * VM.be cold and warm over the Winstone-like suite.
@@ -13,22 +13,9 @@
  * strictly faster to the 1M-instruction milestone than the matching
  * cold start (CI asserts on this and folds the deltas into
  * BENCH_startup.json).
- *
- * A second, host-side section measures the load path itself: the same
- * captured translations installed through the legacy v1 repository
- * (decode + re-encode every body) versus the zero-copy mapped image
- * (borrowed views + one flat relocation pass). It gates on the mapped
- * path being at least 2x faster per installed instruction with zero
- * per-record body copies, and exports bench.warmstart.image.*.
  */
 
-#include <chrono>
-
 #include "bench_common.hh"
-#include "dbt/image.hh"
-#include "engine/warm_start.hh"
-#include "vmm/vmm.hh"
-#include "workload/program_gen.hh"
 
 using namespace cdvm;
 
@@ -52,178 +39,12 @@ meanCyclesTo(const std::vector<timing::StartupResult> &rs,
     return n ? sum / static_cast<double>(n) : -1.0;
 }
 
-/** One timed install through either load path. */
-struct InstallSample
-{
-    double nsPerInsn = 0.0;
-    engine::WarmStartReport report;
-};
-
-/** Fresh engine structures per repetition so arena state never
- *  carries over between timed installs. */
-template <typename Source>
-InstallSample
-timeInstall(const workload::Program &prog, const Source &src)
-{
-    x86::Memory mem;
-    prog.loadInto(mem);
-    engine::EngineConfig cfg = engine::EngineConfig::vmSoft();
-    engine::EngineStats stats;
-    engine::EventStream events;
-    engine::BranchProfile prof;
-    engine::CodeCacheManager ccm(mem, cfg, stats, events);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    InstallSample s;
-    s.report = engine::warmStartInstall(src, mem, ccm, prof);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    s.nsPerInsn =
-        s.report.installedInsns
-            ? ns / static_cast<double>(s.report.installedInsns)
-            : 0.0;
-    return s;
-}
-
-/**
- * Legacy-vs-mapped install microbenchmark over one primed workload.
- * @return true when the gates hold (>= min_ratio speedup, zero body
- *         copies on the mapped path, identical install coverage).
- */
-bool
-imageLoadMicrobench(double min_ratio)
-{
-    // Prime: run one VM long enough that BBT and SBT translations
-    // both exist, then capture them -- the production persist path.
-    workload::ProgramParams pp;
-    pp.seed = 7;
-    const workload::Program prog = workload::generateProgram(pp);
-    x86::Memory pmem;
-    prog.loadInto(pmem);
-    vmm::VmmConfig vcfg = engine::EngineConfig::vmSoft();
-    vcfg.hotThreshold = 30;
-    vmm::Vmm vm(pmem, vcfg);
-    x86::CpuState cpu = prog.initialState();
-    vm.run(cpu, 10'000'000);
-    const dbt::Repository repo = vm.captureWarmStart();
-
-    dbt::ImageBuilder builder(dbt::ImageBuilder::Options{0, 1});
-    builder.add(repo);
-    const std::vector<u8> blob = builder.build();
-    dbt::TransImage img;
-    if (dbt::TransImage::adopt(blob, img) != dbt::LoadError::None) {
-        std::printf("image: built blob failed verification\n");
-        return false;
-    }
-
-    // Best-of-N wall time per installed instruction for each path;
-    // interleaved so neither side systematically sees a warmer host.
-    constexpr int kReps = 7;
-    InstallSample legacy, mapped;
-    double legacy_ns = 0.0, mapped_ns = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const InstallSample l = timeInstall(prog, repo);
-        const InstallSample m = timeInstall(prog, img);
-        if (rep == 0 || l.nsPerInsn < legacy_ns) {
-            legacy_ns = l.nsPerInsn;
-            legacy = l;
-        }
-        if (rep == 0 || m.nsPerInsn < mapped_ns) {
-            mapped_ns = m.nsPerInsn;
-            mapped = m;
-        }
-    }
-
-    const double ratio =
-        mapped_ns > 0.0 ? legacy_ns / mapped_ns : 0.0;
-    std::printf("\n=== Load path: v1 repository vs zero-copy mapped "
-                "image ===\n");
-    std::printf("%llu records, %zu-byte image, best of %d installs\n",
-                static_cast<unsigned long long>(
-                    mapped.report.installed),
-                blob.size(), kReps);
-    std::printf("legacy  decode-install: %.1f ns/insn "
-                "(%llu body copies)\n",
-                legacy_ns,
-                static_cast<unsigned long long>(
-                    legacy.report.bodyCopies));
-    std::printf("mapped  zero-copy:      %.1f ns/insn "
-                "(%llu body copies, %llu relocations, %llu bytes "
-                "mapped)\n",
-                mapped_ns,
-                static_cast<unsigned long long>(
-                    mapped.report.bodyCopies),
-                static_cast<unsigned long long>(
-                    mapped.report.relocations),
-                static_cast<unsigned long long>(
-                    mapped.report.mappedBytes));
-    std::printf("load ratio: %.2fx\n", ratio);
-
-    bool ok = true;
-    if (mapped.report.bodyCopies != 0) {
-        std::printf("  GATE FAILED: mapped install must perform zero "
-                    "per-record body copies\n");
-        ok = false;
-    }
-    if (mapped.report.installed != legacy.report.installed ||
-        mapped.report.installedInsns != legacy.report.installedInsns) {
-        std::printf("  GATE FAILED: both paths must install the same "
-                    "translations\n");
-        ok = false;
-    }
-    if (!(ratio >= min_ratio)) {
-        std::printf("  GATE FAILED: mapped install must be at least "
-                    "%.1fx faster per instruction than the legacy "
-                    "decode path\n",
-                    min_ratio);
-        ok = false;
-    }
-
-    StatRegistry &reg = StatRegistry::global();
-    reg.set("bench.warmstart.image.records",
-            static_cast<double>(mapped.report.installed),
-            "translations installed from the mapped image");
-    reg.set("bench.warmstart.image.installed_insns",
-            static_cast<double>(mapped.report.installedInsns),
-            "x86 instructions covered by the mapped install");
-    reg.set("bench.warmstart.image.invalidated",
-            static_cast<double>(mapped.report.invalidated),
-            "records rejected against current guest memory");
-    reg.set("bench.warmstart.image.body_copies",
-            static_cast<double>(mapped.report.bodyCopies),
-            "per-record body copies on the mapped path (gated == 0)");
-    reg.set("bench.warmstart.image.relocations",
-            static_cast<double>(mapped.report.relocations),
-            "chain links re-bound in the flat relocation pass");
-    reg.set("bench.warmstart.image.mapped_bytes",
-            static_cast<double>(mapped.report.mappedBytes),
-            "bytes of shared image backing the installed views");
-    reg.set("bench.warmstart.image.blob_bytes",
-            static_cast<double>(blob.size()),
-            "size of the built image file");
-    reg.set("bench.warmstart.image.dedupe_hits",
-            static_cast<double>(builder.dedupeHits()),
-            "records merged by content address at build time");
-    reg.set("bench.warmstart.image.evicted",
-            static_cast<double>(builder.evicted()),
-            "records dropped by the hotness-ranked size budget");
-    reg.set("bench.warmstart.image.legacy_ns_per_insn", legacy_ns,
-            "best-of-N legacy decode-install wall time");
-    reg.set("bench.warmstart.image.mapped_ns_per_insn", mapped_ns,
-            "best-of-N zero-copy mapped-install wall time");
-    reg.set("bench.warmstart.image.load_ratio_vs_decode", ratio,
-            "legacy / mapped install time per instruction");
-    return ok;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    Cli cli("Warm-start benchmark: cold vs repository-warmed VM "
+    Cli cli("Warm-start benchmark: cold vs image-warmed VM "
             "startup (cycles to the first 1M instructions)");
     u64 insns = bench::standardSetup(cli, argc, argv, 20'000'000);
 
@@ -236,8 +57,7 @@ main(int argc, char **argv)
     auto be_warm = bench::runMachine(timing::MachineConfig::vmBeWarm(),
                                      apps);
 
-    std::printf("=== Warm start: cold vs persistent-repository "
-                "startup ===\n");
+    std::printf("=== Warm start: cold vs warm-image startup ===\n");
     std::printf("(10 Winstone2004-like apps, %llu M x86 instructions "
                 "each)\n\n",
                 static_cast<unsigned long long>(insns / 1'000'000));
@@ -275,11 +95,6 @@ main(int argc, char **argv)
                 "%.0f up-front load cycles/app\n",
                 warm_static / static_cast<double>(soft_warm.size()),
                 warm_load_cyc / static_cast<double>(soft_warm.size()));
-
-    // Host-side load-path microbenchmark and its own gates: zero-copy
-    // mapped installs must beat the legacy decode path by >= 2x.
-    if (!imageLoadMicrobench(2.0))
-        ok = false;
 
     // Per-PR perf trajectory: suite aggregates for the CI artifact.
     bench::exportSuiteStartup("bench.warmstart.vm_soft", soft);

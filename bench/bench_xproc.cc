@@ -6,7 +6,7 @@
  * bench_fleet shows the zero-copy image amortizing translation across
  * contexts *within* a process; this harness proves the same image
  * amortizes across *processes*. The parent primes per-class warm
- * repositories, merges them into one content-addressed image, and
+ * images, merges them into one content-addressed image, and
  * forks a daemon child (serve::ImageHost) that seals the blob into a
  * memfd. For each rung of the mapper ladder (1 -> 4 -> N) it then
  * forks N mapper processes: each connects to the daemon, receives the
@@ -89,7 +89,7 @@ struct MapperResult
     u64 cycles = 0;    //!< virtual cycles to the milestone
     u64 retired = 0;
     u64 installed = 0;   //!< warm translations installed
-    u64 bodyCopies = 0;  //!< decode+copy installs (must be 0 warm)
+    u64 bodyCopies = 0;  //!< body copies at install (must be 0 warm)
     u64 mappedBytes = 0; //!< image bytes views were installed from
     u64 imageSizeKb = 0; //!< smaps Size: of the image region
     u64 imageRssKb = 0;  //!< smaps Rss: resident in this process
@@ -195,14 +195,11 @@ runMapper(const XprocConfig &xc, unsigned index, bool warm,
     fleet::WorkClockSink clock(xc.weights);
     vm.attachSink(&clock);
     // The warm fill ran inside the ctor, before the sink attach:
-    // charge it out of band at the mapped (relocation-only) rate,
+    // charge it out of band at the relocation-only install rate,
     // exactly as fleet admission does.
     const vmm::VmmStats &st = vm.stats();
-    const bool mapped = st.warmMappedBytes > 0;
-    clock.charge(
-        (mapped ? xc.weights.warmInstallMapped
-                : xc.weights.warmInstall) *
-        static_cast<double>(st.warmInsnsInstalled));
+    clock.charge(xc.weights.warmInstall *
+                 static_cast<double>(st.warmInsnsInstalled));
 
     bool ran_ok = true;
     while (st.totalRetired() < xc.milestoneInsns) {
@@ -386,12 +383,16 @@ runBatch(const XprocConfig &xc, unsigned n, bool warm)
     return batch;
 }
 
-/** Prime one repository per workload class (bench_fleet's recipe:
- *  prime PAST the milestone so the hot set is fully optimized). */
+/** Prime one image per workload class and merge them (bench_fleet's
+ *  recipe: prime PAST the milestone so the hot set is fully
+ *  optimized). */
 std::vector<u8>
 buildImageBlob(const XprocConfig &xc, u64 prime_insns, u64 &records)
 {
-    dbt::ImageBuilder builder(dbt::ImageBuilder::Options{0, 1});
+    // The builder stages views into the parts: keep them alive until
+    // build().
+    std::vector<dbt::TransImage> parts;
+    parts.reserve(xc.workloads);
     for (unsigned w = 0; w < xc.workloads; ++w) {
         workload::ProgramParams p = xprocWorkloadShape();
         p.seed = fleet::deriveSeed(xc.fleetSeed, w);
@@ -410,8 +411,11 @@ buildImageBlob(const XprocConfig &xc, u64 prime_insns, u64 &records)
                 break;
             }
         }
-        builder.add(vm.captureWarmStart());
+        parts.push_back(vm.captureWarmStart());
     }
+    dbt::ImageBuilder builder(dbt::ImageBuilder::Options{0, 1});
+    for (const dbt::TransImage &part : parts)
+        builder.add(part);
     records = builder.records();
     return builder.build();
 }

@@ -18,10 +18,17 @@
  *   $ ./build/examples/quickstart --stats-json=out.json \
  *         --trace-out=trace.json
  *
+ * --save-cache writes the run's warm-start image; a later
+ * --load-cache boots warm from it, or says why it could not and boots
+ * cold:
+ *
+ *   $ ./build/examples/quickstart --save-cache=warm.img
+ *   $ ./build/examples/quickstart --load-cache=warm.img
+ *
  * With --contexts > 1 the quickstart instead boots a multi-tenant
  * fleet (src/fleet): N contexts admitted along --arrival, time-sliced
- * by --policy, cold and then warm-started from per-workload
- * repositories primed in-process:
+ * by --policy, cold and then warm-started from one image merged from
+ * per-workload captures primed in-process:
  *
  *   $ ./build/examples/quickstart --contexts=64 --arrival=poisson:8
  */
@@ -76,8 +83,8 @@ machineFor(const std::string &name, bool warm_start)
         m = timing::MachineConfig::vmSoftTmpl();
     else if (name == "vm.interp")
         m = timing::MachineConfig::vmInterp();
-    // --load-cache also warm-starts the timing model: translations are
-    // installed from the repository before the first instruction.
+    // A warm boot also warm-starts the timing model: translations are
+    // installed from the image before the first instruction.
     if (warm_start) {
         m.warmStart = true;
         m.name += ".warm";
@@ -87,8 +94,9 @@ machineFor(const std::string &name, bool warm_start)
 
 /**
  * Fleet mode (--contexts > 1): boot a multi-tenant storm of the
- * chosen engine configuration, cold and then warm-started from
- * per-workload repositories primed in-process, and report the
+ * chosen engine configuration, cold and then warm-started from one
+ * image merged from per-workload captures primed in-process, and
+ * report the
  * startup-latency distribution on the fleet's virtual cycle clock.
  */
 int
@@ -138,9 +146,11 @@ runFleet(const Cli &cli, const vmm::VmmConfig &base)
                 cr.p50TimeToMilestone, cr.p99TimeToMilestone,
                 cr.guestMips);
 
-    // Warm series: prime one repository per workload class.
+    // Warm series: prime one image per workload class and serve the
+    // merge of them to the whole fleet.
     const engine::EngineConfig tcfg =
         fleet::tenantEngineConfig(cfg.engineCfg);
+    std::vector<dbt::TransImage> parts;
     for (unsigned w = 0; w < cfg.workloads; ++w) {
         workload::ProgramParams p = cfg.workloadParams;
         p.seed = fleet::deriveSeed(cfg.fleetSeed, w);
@@ -157,10 +167,15 @@ runFleet(const Cli &cli, const vmm::VmmConfig &base)
             else if (e != Exit::None)
                 break;
         }
-        cfg.warmRepos.push_back(
-            std::make_shared<const dbt::Repository>(
-                vm.captureWarmStart()));
+        parts.push_back(vm.captureWarmStart());
     }
+    dbt::ImageBuilder merge;
+    for (const dbt::TransImage &part : parts)
+        merge.add(part);
+    auto merged = std::make_shared<dbt::TransImage>();
+    if (dbt::TransImage::adopt(merge.build(), *merged) ==
+        dbt::LoadError::None)
+        cfg.imageEndpoint = std::make_shared<dbt::ImageStore>(merged);
     fleet::FleetServer warm(cfg);
     const fleet::FleetResult wr = warm.run();
     std::printf("warm: %u/%u contexts done, p50/p99 to %lluk insns = "
@@ -205,10 +220,11 @@ main(int argc, char **argv)
              "vm.interp|vm.soft.tmpl|vm.be.tmpl|vm.soft.async|"
              "vm.be.async");
     cli.flag("load-cache", "",
-             "warm start: load a translation repository saved by a "
-             "previous run (stale entries fall back to cold)");
+             "warm start: load a translation image saved by a previous "
+             "run (stale records fall back to cold; an unloadable file "
+             "boots cold and says why)");
     cli.flag("save-cache", "",
-             "save the translation repository after the run");
+             "save the translation image after the run");
     cli.flag("cache-budget", "0",
              "size budget in bytes for the saved translation image "
              "(0: unbounded; the coldest records are evicted to fit)");
@@ -304,22 +320,20 @@ main(int argc, char **argv)
     cfg.hotThreshold = 50;
     cfg.interpHotThreshold = 50;
     cfg.bbbParams.hotThreshold = 50;
-    cfg.warmStartLoadPath = cli.str("load-cache");
-    cfg.warmStartSavePath = cli.str("save-cache");
     cfg.warmImageBudgetBytes =
         static_cast<u64>(cli.num("cache-budget"));
     cfg.flightDumpPath = cli.str("flight-dump");
     cfg.snapshotEveryInsns =
         static_cast<u64>(cli.num("snapshot-every"));
 
-    // Cross-process warm start: bind the VM to an image-host daemon.
-    // The endpoint resolves to a generation handle inside the Vmm
-    // ctor; an unreachable daemon leaves the handle null and the VM
-    // boots cold — serving is an accelerator, never a dependency.
+    // Warm start: bind the VM to its one image source. The endpoint
+    // resolves to a generation handle inside the Vmm ctor. Either
+    // source degrades to a cold boot: an unreachable daemon leaves the
+    // handle null, an unloadable file is reported and never bound.
     engine::SharedServices svc;
-    std::shared_ptr<serve::ImageClient> img_client;
     if (!cli.str("connect-image").empty()) {
-        img_client = std::make_shared<serve::ImageClient>();
+        // Cross-process: map the image an image-host daemon serves.
+        auto img_client = std::make_shared<serve::ImageClient>();
         if (img_client->connect(cli.str("connect-image")) &&
             img_client->acquire()) {
             const auto img = img_client->acquire();
@@ -336,7 +350,17 @@ main(int argc, char **argv)
                         img_client->lastError().c_str());
         }
         svc.imageEndpoint = img_client;
+    } else if (!cli.str("load-cache").empty()) {
+        auto img = std::make_shared<dbt::TransImage>();
+        const dbt::LoadError err =
+            dbt::TransImage::load(cli.str("load-cache"), *img);
+        if (err == dbt::LoadError::None)
+            svc.imageEndpoint = std::make_shared<dbt::ImageStore>(img);
+        else
+            std::printf("warm image not loaded: %s\n",
+                        dbt::loadErrorDetail(err).c_str());
     }
+    const bool warm = svc.imageEndpoint && svc.imageEndpoint->acquire();
 
     vmm::Vmm vm(vm_mem, cfg, svc);
     const auto host_t0 = std::chrono::steady_clock::now();
@@ -366,8 +390,7 @@ main(int argc, char **argv)
     std::printf("  dispatches / chained:   %llu / %llu\n",
                 static_cast<unsigned long long>(st.dispatches),
                 static_cast<unsigned long long>(st.chainFollows));
-    if (!cfg.warmStartLoadPath.empty() ||
-        (img_client && img_client->acquire())) {
+    if (warm) {
         std::printf("  warm start:             %llu loaded, %llu "
                     "installed, %llu invalidated, %llu profile "
                     "entries seeded\n",
@@ -378,15 +401,12 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         st.warmProfileSeeded));
         std::printf("  warm load path:         %llu body copies, "
-                    "%llu relocations, %llu bytes mapped %s\n",
+                    "%llu relocations, %llu bytes mapped\n",
                     static_cast<unsigned long long>(st.warmBodyCopies),
                     static_cast<unsigned long long>(
                         st.warmRelocations),
                     static_cast<unsigned long long>(
-                        st.warmMappedBytes),
-                    st.warmMappedBytes
-                        ? "(zero-copy image)"
-                        : "(legacy repository)");
+                        st.warmMappedBytes));
     }
     if (cfg.asyncTranslators > 0) {
         std::printf("  async SBT requests:     %llu (%llu installed, "
@@ -462,10 +482,11 @@ main(int argc, char **argv)
                         cfg.snapshotEveryInsns));
     }
 
-    if (!cfg.warmStartSavePath.empty()) {
-        std::printf("\nsaved translation repository: %s (%s)\n",
-                    cfg.warmStartSavePath.c_str(),
-                    vm.saveWarmStart() ? "ok" : "FAILED");
+    if (!cli.str("save-cache").empty()) {
+        std::printf("\nsaved warm-start image: %s (%s)\n",
+                    cli.str("save-cache").c_str(),
+                    vm.saveWarmStart(cli.str("save-cache")) ? "ok"
+                                                            : "FAILED");
     }
 
     // --- startup-transient timing simulation --------------------------
@@ -475,10 +496,7 @@ main(int argc, char **argv)
     // milestone ladder) and traces the cycle-timebase phases on
     // track 1.
     workload::AppProfile app = workload::winstoneAverage(2'000'000);
-    timing::StartupSim sim(
-        machineFor(cfg.name, !cfg.warmStartLoadPath.empty() ||
-                                 (img_client && img_client->acquire())),
-        app);
+    timing::StartupSim sim(machineFor(cfg.name, warm), app);
     timing::StartupResult sr = sim.run();
     timing::StartupSim ref_sim(timing::MachineConfig::refSuperscalar(),
                                app);
@@ -508,11 +526,8 @@ main(int argc, char **argv)
     // hand the fd to every --connect-image sibling until a stop
     // signal. N siblings share ONE physical copy of the image.
     if (ok && !cli.str("serve-image").empty()) {
-        dbt::ImageBuilder b(dbt::ImageBuilder::Options{
-            static_cast<u64>(cli.num("cache-budget")), 1});
-        b.add(vm.captureWarmStart());
         serve::ImageHost host;
-        if (!host.publish(b.build()) ||
+        if (!host.publish(vm.captureWarmStart().bytes()) ||
             !host.start(cli.str("serve-image"))) {
             std::fprintf(stderr, "image host failed: %s\n",
                          host.lastError().c_str());

@@ -1,12 +1,17 @@
 #include "dbt/image.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
-#include "uops/encoding.hh"
+#include "x86/decoder.hh"
+
+#ifdef __unix__
+#include <fcntl.h>
+#include <unistd.h>
+#endif
 
 namespace cdvm::dbt
 {
@@ -15,25 +20,13 @@ namespace
 {
 
 constexpr u64 IMAGE_ALIGN = 8;
+constexpr std::size_t PAGE_BYTES = 4096;
+constexpr Addr PAGE_MASK = ~static_cast<Addr>(PAGE_BYTES - 1);
 
 u64
 align8(u64 v)
 {
     return (v + (IMAGE_ALIGN - 1)) & ~(IMAGE_ALIGN - 1);
-}
-
-void
-putU32(std::vector<u8> &out, u32 v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<u8>(v >> 8 * i));
-}
-
-void
-putU64(std::vector<u8> &out, u64 v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<u8>(v >> 8 * i));
 }
 
 u64
@@ -44,6 +37,29 @@ readU64(const u8 *p)
     return v;
 }
 
+/** Incremental FNV-1a (values hashed in host = image byte order). */
+struct Fnv
+{
+    u64 h = 0xCBF29CE484222325ull;
+
+    void
+    add(const void *p, std::size_t n)
+    {
+        const u8 *b = static_cast<const u8 *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001B3ull;
+        }
+    }
+
+    template <typename T>
+    void
+    put(const T &v)
+    {
+        add(&v, sizeof v);
+    }
+};
+
 /** Record blob size: header + pc table + raw uop bodies, 8-aligned. */
 u64
 recordBlobBytes(u64 n_pcs, u64 n_uops)
@@ -53,123 +69,211 @@ recordBlobBytes(u64 n_pcs, u64 n_uops)
 }
 
 /**
- * Deterministic Uop image bytes: copy member-by-member into a
- * value-initialized temporary so padding bytes are zero, not whatever
- * the translator's vector happened to hold.
+ * Deterministic Uop image bytes: every member is copied into zeroed
+ * storage at its own offset, so padding bytes are always zero, never
+ * whatever the translator's vector happened to hold. These are also
+ * the bytes a record's content key hashes.
  */
 void
 writeUop(u8 *dst, const uops::Uop &u)
 {
-    uops::Uop clean{};
-    clean.op = u.op;
-    clean.dst = u.dst;
-    clean.src1 = u.src1;
-    clean.src2 = u.src2;
-    clean.size = u.size;
-    clean.scale = u.scale;
-    clean.cond = u.cond;
-    clean.hasImm = u.hasImm;
-    clean.imm = u.imm;
-    clean.writeFlags = u.writeFlags;
-    clean.fusedHead = u.fusedHead;
-    clean.target = u.target;
-    clean.x86pc = u.x86pc;
-    std::memcpy(dst, &clean, sizeof clean);
+    std::memset(dst, 0, sizeof(uops::Uop));
+    auto put = [dst](std::size_t off, const auto &field) {
+        std::memcpy(dst + off, &field, sizeof field);
+    };
+    put(offsetof(uops::Uop, op), u.op);
+    put(offsetof(uops::Uop, dst), u.dst);
+    put(offsetof(uops::Uop, src1), u.src1);
+    put(offsetof(uops::Uop, src2), u.src2);
+    put(offsetof(uops::Uop, size), u.size);
+    put(offsetof(uops::Uop, scale), u.scale);
+    put(offsetof(uops::Uop, cond), u.cond);
+    put(offsetof(uops::Uop, hasImm), u.hasImm);
+    put(offsetof(uops::Uop, imm), u.imm);
+    put(offsetof(uops::Uop, writeFlags), u.writeFlags);
+    put(offsetof(uops::Uop, fusedHead), u.fusedHead);
+    put(offsetof(uops::Uop, target), u.target);
+    put(offsetof(uops::Uop, x86pc), u.x86pc);
 }
+
+/** Flag bits that are part of a record's semantic identity (the
+ *  producing tier is not: identical code dedupes across tiers). */
+constexpr u8 IMG_F_SEMANTIC = IMG_F_COMPLEX | IMG_F_ENDS_CTI |
+                              IMG_F_ENDS_COND;
 
 /** Semantic identity of a record (counts and chains excluded, so
  *  identical code dedupes across contexts that ran it differently). */
 u64
-contentKeyOf(const SavedTranslation &e, u64 page_key)
+contentKeyOf(const ImageRecordHeader &h, std::span<const Addr> pcs,
+             std::span<const uops::Uop> body)
 {
-    std::vector<u8> id;
-    id.reserve(64 + e.body.size() + 8 * e.x86pcs.size() +
-               8 * e.uopPcs.size());
-    id.push_back(static_cast<u8>(e.kind));
-    id.push_back(static_cast<u8>((e.containsComplex ? 1 : 0) |
-                                 (e.endsInCti ? 2 : 0) |
-                                 (e.endsInCondBranch ? 4 : 0)));
-    putU64(id, e.entryPc);
-    putU32(id, e.numX86Insns);
-    putU32(id, e.x86Bytes);
-    putU64(id, e.fallthroughPc);
-    putU64(id, e.condBranchTarget);
-    putU64(id, e.condBranchPc);
-    putU64(id, page_key);
-    putU32(id, static_cast<u32>(e.x86pcs.size()));
-    for (Addr pc : e.x86pcs)
-        putU64(id, pc);
-    putU32(id, static_cast<u32>(e.uopPcs.size()));
-    for (Addr pc : e.uopPcs)
-        putU64(id, pc);
-    putU32(id, static_cast<u32>(e.body.size()));
-    id.insert(id.end(), e.body.begin(), e.body.end());
-    return fnv1a(id);
+    Fnv f;
+    f.put(h.kind);
+    f.put(static_cast<u8>(h.flags & IMG_F_SEMANTIC));
+    f.put(h.entryPc);
+    f.put(h.numX86Insns);
+    f.put(h.x86Bytes);
+    f.put(h.fallthroughPc);
+    f.put(h.condBranchTarget);
+    f.put(h.condBranchPc);
+    f.put(h.pageKey);
+    f.put(static_cast<u32>(pcs.size()));
+    f.add(pcs.data(), pcs.size_bytes());
+    f.put(static_cast<u32>(body.size()));
+    u8 clean[sizeof(uops::Uop)];
+    for (const uops::Uop &u : body) {
+        writeUop(clean, u);
+        f.add(clean, sizeof clean);
+    }
+    return f.h;
 }
 
 /** Full equality check behind a contentKey match (collision guard). */
 bool
-sameRecord(const SavedTranslation &a, const SavedTranslation &b)
+sameRecord(const ImageRecordHeader &a, std::span<const Addr> a_pcs,
+           std::span<const uops::Uop> a_body,
+           const ImageRecordHeader &b, std::span<const Addr> b_pcs,
+           std::span<const uops::Uop> b_body)
 {
-    return a.kind == b.kind && a.entryPc == b.entryPc &&
-           a.numX86Insns == b.numX86Insns &&
-           a.x86Bytes == b.x86Bytes &&
-           a.fallthroughPc == b.fallthroughPc &&
-           a.containsComplex == b.containsComplex &&
-           a.endsInCti == b.endsInCti &&
-           a.endsInCondBranch == b.endsInCondBranch &&
-           a.condBranchTarget == b.condBranchTarget &&
-           a.condBranchPc == b.condBranchPc &&
-           a.x86pcs == b.x86pcs && a.uopPcs == b.uopPcs &&
-           a.body == b.body;
+    if (a.kind != b.kind ||
+        (a.flags & IMG_F_SEMANTIC) != (b.flags & IMG_F_SEMANTIC) ||
+        a.entryPc != b.entryPc || a.numX86Insns != b.numX86Insns ||
+        a.x86Bytes != b.x86Bytes || a.fallthroughPc != b.fallthroughPc ||
+        a.condBranchTarget != b.condBranchTarget ||
+        a.condBranchPc != b.condBranchPc || a.pageKey != b.pageKey ||
+        !std::equal(a_pcs.begin(), a_pcs.end(), b_pcs.begin(),
+                    b_pcs.end()) ||
+        a_body.size() != b_body.size())
+        return false;
+    u8 ca[sizeof(uops::Uop)], cb[sizeof(uops::Uop)];
+    for (std::size_t i = 0; i < a_body.size(); ++i) {
+        writeUop(ca, a_body[i]);
+        writeUop(cb, b_body[i]);
+        if (std::memcmp(ca, cb, sizeof ca) != 0)
+            return false;
+    }
+    return true;
 }
 
-/** Expand one image record back into a v1-style entry (decoded body
- *  re-encoded, provenance from the in-place Uop tags). */
-SavedTranslation
-expandRecord(const TransImage::RecordView &v)
+/** The header fields of one live translation (chains unset). */
+ImageRecordHeader
+headerOf(const Translation &t)
 {
-    SavedTranslation e;
-    e.kind =
-        v.hdr->kind ? TransKind::Superblock : TransKind::BasicBlock;
-    e.entryPc = v.hdr->entryPc;
-    e.numX86Insns = v.hdr->numX86Insns;
-    e.x86Bytes = v.hdr->x86Bytes;
-    e.fallthroughPc = v.hdr->fallthroughPc;
-    e.containsComplex = v.hdr->flags & IMG_F_COMPLEX;
-    e.endsInCti = v.hdr->flags & IMG_F_ENDS_CTI;
-    e.endsInCondBranch = v.hdr->flags & IMG_F_ENDS_COND;
-    e.provenance = static_cast<TransProvenance>(
-        (v.hdr->flags & IMG_F_PROV_MASK) >> IMG_F_PROV_SHIFT);
-    e.condBranchTarget = v.hdr->condBranchTarget;
-    e.condBranchPc = v.hdr->condBranchPc;
-    e.execCount = v.hdr->execCount;
-    e.takenCount = v.hdr->takenCount;
-    e.notTakenCount = v.hdr->notTakenCount;
-    for (unsigned c = 0; c < 2; ++c) {
-        e.chains[c].targetPc = v.hdr->chainTargetPc[c];
-        e.chains[c].record = v.hdr->chainRecord[c];
-    }
-    e.x86pcs.assign(v.x86pcs.begin(), v.x86pcs.end());
-    e.uopPcs.reserve(v.uops.size());
-    for (const uops::Uop &u : v.uops)
-        e.uopPcs.push_back(u.x86pc);
-    e.body = uops::encode(v.uops);
-    return e;
+    ImageRecordHeader h;
+    h.entryPc = t.entryPc;
+    h.fallthroughPc = t.fallthroughPc;
+    h.condBranchTarget = t.condBranchTarget;
+    h.condBranchPc = t.condBranchPc;
+    h.execCount = t.execCount;
+    h.takenCount = t.takenCount;
+    h.notTakenCount = t.notTakenCount;
+    h.numX86Insns = t.numX86Insns;
+    h.x86Bytes = t.x86Bytes;
+    h.codeBytes = t.codeBytes;
+    h.nPcs = static_cast<u32>(t.pcSpan().size());
+    h.nUops = static_cast<u32>(t.code().size());
+    h.kind = t.kind == TransKind::Superblock ? 1 : 0;
+    h.flags = (t.containsComplex ? IMG_F_COMPLEX : 0) |
+              (t.endsInCti ? IMG_F_ENDS_CTI : 0) |
+              (t.endsInCondBranch ? IMG_F_ENDS_COND : 0) |
+              static_cast<u8>(static_cast<u8>(t.provenance)
+                              << IMG_F_PROV_SHIFT);
+    return h;
 }
+
+u64
+idKey(TransId id)
+{
+    return static_cast<u64>(id.idx) << 32 | id.gen;
+}
+
+/** Per-thread errno detail behind LoadError::Io (see lastIoErrno). */
+thread_local int last_io_errno = 0;
 
 } // namespace
+
+int
+lastIoErrno()
+{
+    return last_io_errno;
+}
+
+void
+setLastIoErrno(int err)
+{
+    last_io_errno = err;
+}
+
+std::string
+loadErrorDetail(LoadError e)
+{
+    std::string s = loadErrorName(e);
+    if (e == LoadError::Io && last_io_errno) {
+        s += ": ";
+        s += std::strerror(last_io_errno);
+    }
+    return s;
+}
+
+const char *
+loadErrorName(LoadError e)
+{
+    switch (e) {
+      case LoadError::None: return "none";
+      case LoadError::Io: return "io";
+      case LoadError::BadMagic: return "bad-magic";
+      case LoadError::BadVersion: return "bad-version";
+      case LoadError::Truncated: return "truncated";
+      case LoadError::Corrupt: return "corrupt";
+    }
+    return "?";
+}
+
+u64
+fnv1a(std::span<const u8> bytes)
+{
+    Fnv f;
+    f.add(bytes.data(), bytes.size());
+    return f.h;
+}
+
+u64
+guestPageHash(const x86::Memory &mem, Addr page)
+{
+    std::vector<u8> bytes = mem.readBlock(page, PAGE_BYTES);
+    return fnv1a(bytes);
+}
+
+std::vector<Addr>
+coveredPages(Addr entry_pc, std::span<const Addr> x86pcs)
+{
+    std::vector<Addr> pages;
+    auto add = [&pages](Addr page) {
+        for (Addr p : pages) {
+            if (p == page)
+                return;
+        }
+        pages.push_back(page);
+    };
+    // Conservative: every covered instruction may straddle into the
+    // next page (x86 insns are up to MAX_INSN_LEN bytes).
+    for (Addr pc : x86pcs) {
+        add(pc & PAGE_MASK);
+        add((pc + x86::MAX_INSN_LEN - 1) & PAGE_MASK);
+    }
+    add(entry_pc & PAGE_MASK);
+    return pages;
+}
 
 u64
 pageSetKey(std::span<const std::pair<Addr, u64>> sorted_pages)
 {
-    std::vector<u8> bytes;
-    bytes.reserve(sorted_pages.size() * 16);
+    Fnv f;
     for (const auto &[page, hash] : sorted_pages) {
-        putU64(bytes, page);
-        putU64(bytes, hash);
+        f.put(page);
+        f.put(hash);
     }
-    return fnv1a(bytes);
+    return f.h;
 }
 
 // --- TransImage -----------------------------------------------------
@@ -188,8 +292,6 @@ TransImage::operator=(TransImage &&other) noexcept
     backing = std::move(other.backing);
     base = other.base;
     len = other.len;
-    deltas = other.deltas;
-    migrated = other.migrated;
     hdr = other.hdr;
     pages = other.pages;
     dedupe = other.dedupe;
@@ -207,8 +309,6 @@ TransImage::reset()
     backing = MapSource();
     base = nullptr;
     len = 0;
-    deltas = 0;
-    migrated = false;
     hdr = nullptr;
     pages = {};
     dedupe = {};
@@ -348,17 +448,7 @@ TransImage::record(std::size_t i) const
 LoadError
 TransImage::adopt(std::span<const u8> bytes, TransImage &out)
 {
-    TransImage img;
-    img.backing = MapSource::ownedCopy(bytes);
-    img.base = img.backing.data();
-    img.len = img.backing.size();
-    const LoadError e = img.verify();
-    if (e != LoadError::None)
-        return e;
-    if (img.hdr->totalBytes != img.len)
-        return LoadError::Corrupt; // trailing garbage after the image
-    out = std::move(img);
-    return LoadError::None;
+    return fromSource(MapSource::ownedCopy(bytes), out);
 }
 
 LoadError
@@ -388,67 +478,83 @@ TransImage::fromSource(MapSource src, TransImage &out)
     img.backing = std::move(src);
     img.base = img.backing.data();
     img.len = img.backing.size();
-    if (img.len < 8)
-        return LoadError::Truncated;
-
-    // Transparent migration: a v1 "CDVMREPO" file converts through
-    // the builder on first load.
-    if (readU64(img.base) == REPO_MAGIC) {
-        Repository v1;
-        const LoadError e =
-            deserialize({img.base, static_cast<std::size_t>(img.len)},
-                        v1);
-        if (e != LoadError::None)
-            return e;
-        ImageBuilder b;
-        b.add(v1);
-        const std::vector<u8> blob = b.build();
-        const LoadError e2 = adopt(blob, out);
-        if (e2 == LoadError::None)
-            out.migrated = true;
-        return e2;
-    }
-
     const LoadError e = img.verify();
     if (e != LoadError::None)
         return e;
+    if (img.hdr->totalBytes != img.len)
+        return LoadError::Corrupt; // trailing bytes after the image
+    out = std::move(img);
+    return LoadError::None;
+}
 
-    if (img.hdr->totalBytes == img.len) {
-        out = std::move(img);
-        return LoadError::None;
+bool
+atomicWriteFile(const std::string &path, std::span<const u8> bytes)
+{
+#ifdef __unix__
+    // The temp file must live in the same directory as path so the
+    // final rename() is same-filesystem and therefore atomic.
+    std::string tmp = path + ".tmp.XXXXXX";
+    const int fd = ::mkstemp(tmp.data());
+    if (fd < 0) {
+        setLastIoErrno(errno);
+        return false;
     }
-
-    // Append-only delta segments follow the base image; each is an
-    // independently checksummed capture. Verify every segment, then
-    // compact base + deltas into one in-memory generation.
-    std::vector<Repository> delta_repos;
-    u64 pos = img.hdr->totalBytes;
-    while (pos < img.len) {
-        if (img.len - pos < 16)
-            return LoadError::Truncated;
-        if (readU64(img.base + pos) != DELTA_MAGIC)
-            return LoadError::Corrupt;
-        const u64 payload = readU64(img.base + pos + 8);
-        if (payload == 0 || img.len - pos - 16 < payload)
-            return LoadError::Truncated;
-        Repository d;
-        const LoadError de = deserialize(
-            {img.base + pos + 16, static_cast<std::size_t>(payload)},
-            d);
-        if (de != LoadError::None)
-            return de;
-        delta_repos.push_back(std::move(d));
-        pos += 16 + payload;
+    bool ok = true;
+    std::size_t done = 0;
+    while (ok && done < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + done, bytes.size() - done);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            setLastIoErrno(errno);
+            ok = false;
+            break;
+        }
+        done += static_cast<std::size_t>(n);
     }
-    ImageBuilder b(
-        ImageBuilder::Options{0, img.hdr->generation + 1});
-    b.add(img);
-    for (const Repository &d : delta_repos)
-        b.add(d);
-    const LoadError e2 = adopt(b.build(), out);
-    if (e2 == LoadError::None)
-        out.deltas = static_cast<unsigned>(delta_repos.size());
-    return e2;
+    // The rename must not be observable before the data is durable,
+    // or a crash could leave the new name pointing at torn contents.
+    if (ok && ::fsync(fd) != 0) {
+        setLastIoErrno(errno);
+        ok = false;
+    }
+    if (::close(fd) != 0 && ok) {
+        setLastIoErrno(errno);
+        ok = false;
+    }
+    if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) {
+        setLastIoErrno(errno);
+        ok = false;
+    }
+    if (!ok)
+        ::unlink(tmp.c_str());
+    return ok;
+#else
+    const std::string tmp = path + ".tmp";
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f) {
+        setLastIoErrno(errno);
+        return false;
+    }
+    bool ok =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    if (!ok)
+        setLastIoErrno(errno);
+    if (std::fclose(f) != 0 && ok) {
+        setLastIoErrno(errno);
+        ok = false;
+    }
+    if (ok) {
+        std::remove(path.c_str());
+        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
+        if (!ok)
+            setLastIoErrno(errno);
+    }
+    if (!ok)
+        std::remove(tmp.c_str());
+    return ok;
+#endif
 }
 
 bool
@@ -460,110 +566,72 @@ TransImage::save(const std::string &path, std::span<const u8> image)
     return atomicWriteFile(path, image);
 }
 
-bool
-TransImage::appendDelta(const std::string &path,
-                        const Repository &delta)
-{
-    // Only append to something that really is a base image.
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f) {
-            setLastIoErrno(errno);
-            return false;
-        }
-        u8 magic[8];
-        const bool head_ok =
-            std::fread(magic, 1, sizeof magic, f) == sizeof magic;
-        if (std::fclose(f) != 0)
-            setLastIoErrno(errno);
-        if (!head_ok || readU64(magic) != IMAGE_MAGIC)
-            return false;
-    }
-    const std::vector<u8> payload = serialize(delta);
-    std::vector<u8> seg;
-    putU64(seg, DELTA_MAGIC);
-    putU64(seg, payload.size());
-    seg.insert(seg.end(), payload.begin(), payload.end());
-    std::FILE *f = std::fopen(path.c_str(), "ab");
-    if (!f) {
-        setLastIoErrno(errno);
-        return false;
-    }
-    bool ok =
-        std::fwrite(seg.data(), 1, seg.size(), f) == seg.size();
-    if (!ok)
-        setLastIoErrno(errno);
-    if (std::fclose(f) != 0) {
-        if (ok)
-            setLastIoErrno(errno);
-        ok = false;
-    }
-    return ok;
-}
-
-Repository
-TransImage::toRepository() const
-{
-    Repository repo;
-    repo.pageHashes.reserve(pages.size());
-    for (const ImagePageHash &p : pages)
-        repo.pageHashes.emplace_back(p.page, p.hash);
-    repo.entries.reserve(recordCount());
-    for (std::size_t i = 0; i < recordCount(); ++i)
-        repo.entries.push_back(expandRecord(record(i)));
-    repo.branchProfile.reserve(branches.size());
-    for (const ImageBranchStat &b : branches)
-        repo.branchProfile.push_back(
-            SavedBranchStat{b.pc, b.taken, b.notTaken});
-    return repo;
-}
-
 // --- ImageBuilder ---------------------------------------------------
 
 void
-ImageBuilder::add(const Repository &repo)
+ImageBuilder::add(const TranslationMap &map, const x86::Memory &mem,
+                  std::span<const ImageBranchStat> branch_profile,
+                  const HotnessFn &hotness)
 {
-    std::unordered_map<Addr, u64> src_pages(repo.pageHashes.begin(),
-                                            repo.pageHashes.end());
-    for (const auto &[page, hash] : repo.pageHashes)
-        pageHash.emplace(page, hash);
-    for (const SavedBranchStat &b : repo.branchProfile) {
-        auto &cur = branch[b.pc];
-        cur.first = std::max(cur.first, b.taken);
-        cur.second = std::max(cur.second, b.notTaken);
+    for (const ImageBranchStat &b : branch_profile)
+        addBranch(b);
+
+    // Collect the live set first: the hotness ordering must be fixed
+    // before staging assigns record indices.
+    std::vector<const Translation *> live;
+    map.forEach([&](const Translation &t) { live.push_back(&t); });
+    if (hotness) {
+        std::stable_sort(live.begin(), live.end(),
+                         [&hotness](const Translation *a,
+                                    const Translation *b) {
+                             const u64 ha = hotness(*a);
+                             const u64 hb = hotness(*b);
+                             if (ha != hb)
+                                 return ha > hb;
+                             return a->entryPc < b->entryPc;
+                         });
     }
 
-    std::vector<u32> remap(repo.entries.size(), NO_RECORD);
-    for (std::size_t j = 0; j < repo.entries.size(); ++j) {
-        const SavedTranslation &e = repo.entries[j];
-        // Stage only records a warm install could use: the body must
-        // decode and the provenance side table must match it.
-        if (!e.materialize())
-            continue;
-
-        std::vector<std::pair<Addr, u64>> rec_pages;
-        for (Addr page : e.coveredPages()) {
-            const auto it = src_pages.find(page);
-            rec_pages.emplace_back(
-                page, it != src_pages.end() ? it->second : 0);
+    // Stage every live translation under its content address, hashing
+    // each touched guest page once. Read through the views: a
+    // translation installed zero-copy from a mapped image has no owned
+    // body, only the view.
+    std::unordered_map<Addr, u64> page_hash;
+    std::unordered_map<u64, u32> id_to_index;
+    std::vector<u32> index(live.size(), NO_RECORD);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        const Translation &t = *live[i];
+        ImageRecordHeader h = headerOf(t);
+        std::vector<std::pair<Addr, u64>> pages;
+        for (Addr page : coveredPages(t.entryPc, t.pcSpan())) {
+            auto it = page_hash.find(page);
+            if (it == page_hash.end())
+                it = page_hash.emplace(page, guestPageHash(mem, page))
+                         .first;
+            pageHash.emplace(page, it->second);
+            pages.emplace_back(page, it->second);
         }
-        std::sort(rec_pages.begin(), rec_pages.end());
-        remap[j] = stage(SavedTranslation(e), pageSetKey(rec_pages));
+        // An empty body is nothing a warm install could use.
+        if (t.code().empty())
+            continue;
+        std::sort(pages.begin(), pages.end());
+        h.pageKey = pageSetKey(pages);
+        index[i] = stage(h, t.pcSpan(), t.code());
+        id_to_index.emplace(idKey(t.id), index[i]);
     }
 
-    // Chains, remapped to builder indices. A dedupe hit may fill a
-    // shared record's still-empty chain slots, never overwrite them.
-    for (std::size_t j = 0; j < repo.entries.size(); ++j) {
-        if (remap[j] == NO_RECORD)
+    // Chains, by builder index. Links to translations outside the
+    // staged set (overwritten, or already flushed) are dropped.
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        if (index[i] == NO_RECORD)
             continue;
         for (unsigned c = 0; c < 2; ++c) {
-            const SavedChain &ch = repo.entries[j].chains[c];
-            if (ch.record == NO_RECORD || ch.record >= remap.size())
+            const Translation::Chain &ch = live[i]->chains[c];
+            if (!ch.to)
                 continue;
-            const u32 to = remap[ch.record];
-            if (to == NO_RECORD)
-                continue;
-            bindChain(remap[j], c, ch.targetPc, to);
+            const auto it = id_to_index.find(idKey(ch.to));
+            if (it != id_to_index.end())
+                bindChain(index[i], c, ch.targetPc, it->second);
         }
     }
 }
@@ -575,60 +643,76 @@ ImageBuilder::add(const TransImage &img)
     // stored pageKey: the merged page index keeps only one hash per
     // page, so recomputing content addresses from it would corrupt
     // records whenever two workload classes carry different code at
-    // the same guest pages (and repeated delta merges would then
-    // duplicate instead of dedupe).
+    // the same guest pages (and repeated merges would then duplicate
+    // instead of dedupe).
     for (const ImagePageHash &p : img.pageHashes())
         pageHash.emplace(p.page, p.hash);
-    for (const ImageBranchStat &b : img.branchProfile()) {
-        auto &cur = branch[b.pc];
-        cur.first = std::max(cur.first, b.taken);
-        cur.second = std::max(cur.second, b.notTaken);
-    }
+    for (const ImageBranchStat &b : img.branchProfile())
+        addBranch(b);
 
     std::vector<u32> remap(img.recordCount(), NO_RECORD);
     for (std::size_t j = 0; j < img.recordCount(); ++j) {
         const TransImage::RecordView v = img.record(j);
-        remap[j] = stage(expandRecord(v), v.hdr->pageKey);
+        remap[j] = stage(*v.hdr, v.x86pcs, v.uops);
     }
+    // Chains, remapped to builder indices. A dedupe hit may fill a
+    // shared record's still-empty chain slots, never overwrite them.
     for (std::size_t j = 0; j < img.recordCount(); ++j) {
         const TransImage::RecordView v = img.record(j);
         for (unsigned c = 0; c < 2; ++c) {
             const u32 rec = v.hdr->chainRecord[c];
             if (rec == NO_RECORD || rec >= remap.size())
                 continue;
-            const u32 to = remap[rec];
-            if (to == NO_RECORD)
-                continue;
-            bindChain(remap[j], c, v.hdr->chainTargetPc[c], to);
+            bindChain(remap[j], c, v.hdr->chainTargetPc[c], remap[rec]);
         }
     }
 }
 
-u32
-ImageBuilder::stage(SavedTranslation &&e, u64 page_key)
+void
+ImageBuilder::addBranch(const ImageBranchStat &b)
 {
-    const u64 ck = contentKeyOf(e, page_key);
+    auto &cur = branch[b.pc];
+    cur.first = std::max(cur.first, b.taken);
+    cur.second = std::max(cur.second, b.notTaken);
+}
+
+u32
+ImageBuilder::stage(const ImageRecordHeader &hdr,
+                    std::span<const Addr> pcs,
+                    std::span<const uops::Uop> body)
+{
+    const u64 ck = contentKeyOf(hdr, pcs, body);
     const auto hit = byContent.find(ck);
-    if (hit != byContent.end() &&
-        sameRecord(recs[hit->second].entry, e)) {
-        // Shared record: keep the hotter profile of the two.
-        SavedTranslation &kept = recs[hit->second].entry;
-        kept.execCount = std::max(kept.execCount, e.execCount);
-        kept.takenCount = std::max(kept.takenCount, e.takenCount);
-        kept.notTakenCount =
-            std::max(kept.notTakenCount, e.notTakenCount);
-        ++nDedupe;
-        return hit->second;
+    if (hit != byContent.end()) {
+        Staged &kept = recs[hit->second];
+        if (sameRecord(kept.hdr, kept.x86pcs, kept.uops, hdr, pcs,
+                       body)) {
+            // Shared record: keep the hotter profile of the two.
+            kept.hdr.execCount = std::max(kept.hdr.execCount,
+                                          hdr.execCount);
+            kept.hdr.takenCount = std::max(kept.hdr.takenCount,
+                                           hdr.takenCount);
+            kept.hdr.notTakenCount =
+                std::max(kept.hdr.notTakenCount, hdr.notTakenCount);
+            ++nDedupe;
+            return hit->second;
+        }
     }
 
     const u32 idx = static_cast<u32>(recs.size());
     Staged s;
-    s.entry = std::move(e);
-    s.entry.chains[0] = SavedChain{};
-    s.entry.chains[1] = SavedChain{};
-    s.pageKey = page_key;
+    s.hdr = hdr;
+    s.hdr.nPcs = static_cast<u32>(pcs.size());
+    s.hdr.nUops = static_cast<u32>(body.size());
+    s.hdr.pad0 = 0;
+    for (unsigned c = 0; c < 2; ++c) {
+        s.hdr.chainTargetPc[c] = 0;
+        s.hdr.chainRecord[c] = NO_RECORD;
+    }
+    s.x86pcs = pcs;
+    s.uops = body;
     s.contentKey = ck;
-    recs.push_back(std::move(s));
+    recs.push_back(s);
     byContent.emplace(ck, idx);
     return idx;
 }
@@ -637,9 +721,11 @@ void
 ImageBuilder::bindChain(u32 from, unsigned slot, Addr target_pc,
                         u32 to)
 {
-    SavedChain &s = recs[from].entry.chains[slot];
-    if (s.record == NO_RECORD)
-        s = SavedChain{target_pc, to};
+    ImageRecordHeader &h = recs[from].hdr;
+    if (h.chainRecord[slot] == NO_RECORD) {
+        h.chainTargetPc[slot] = target_pc;
+        h.chainRecord[slot] = to;
+    }
 }
 
 std::vector<u8>
@@ -657,10 +743,8 @@ ImageBuilder::build()
         kept = 0;
         for (const Staged &s : recs) {
             const u64 cost =
-                recordBlobBytes(s.entry.x86pcs.size(),
-                                s.entry.uopPcs.size()) +
-                sizeof(u64) + sizeof(ImageDedupeEntry) +
-                2 * sizeof(ImageReloc);
+                recordBlobBytes(s.hdr.nPcs, s.hdr.nUops) + sizeof(u64) +
+                sizeof(ImageDedupeEntry) + 2 * sizeof(ImageReloc);
             if (acc + cost > opt.sizeBudgetBytes)
                 break;
             acc += cost;
@@ -677,15 +761,13 @@ ImageBuilder::build()
     for (std::size_t i = 0; i < kept; ++i) {
         const Staged &s = recs[i];
         rec_off[i] = rec_bytes;
-        rec_bytes += recordBlobBytes(s.entry.x86pcs.size(),
-                                     s.entry.uopPcs.size());
+        rec_bytes += recordBlobBytes(s.hdr.nPcs, s.hdr.nUops);
         for (unsigned c = 0; c < 2; ++c) {
-            const SavedChain &ch = s.entry.chains[c];
-            if (ch.record != NO_RECORD && ch.record < kept) {
+            if (s.hdr.chainRecord[c] < kept) {
                 ImageReloc r;
-                r.targetPc = ch.targetPc;
+                r.targetPc = s.hdr.chainTargetPc[c];
                 r.fromRecord = static_cast<u32>(i);
-                r.toRecord = ch.record;
+                r.toRecord = s.hdr.chainRecord[c];
                 r.exitSlot = c;
                 relocs.push_back(r);
             }
@@ -747,44 +829,19 @@ ImageBuilder::build()
 
     for (std::size_t i = 0; i < kept; ++i) {
         const Staged &s = recs[i];
-        const std::unique_ptr<Translation> t = s.entry.materialize();
-        assert(t && "staged records were validated in add()");
-        ImageRecordHeader rh;
-        rh.entryPc = s.entry.entryPc;
-        rh.fallthroughPc = s.entry.fallthroughPc;
-        rh.condBranchTarget = s.entry.condBranchTarget;
-        rh.condBranchPc = s.entry.condBranchPc;
-        rh.execCount = s.entry.execCount;
-        rh.takenCount = s.entry.takenCount;
-        rh.notTakenCount = s.entry.notTakenCount;
-        rh.pageKey = s.pageKey;
+        ImageRecordHeader rh = s.hdr;
         for (unsigned c = 0; c < 2; ++c) {
-            const SavedChain &ch = s.entry.chains[c];
-            const bool live =
-                ch.record != NO_RECORD && ch.record < kept;
-            rh.chainTargetPc[c] = live ? ch.targetPc : 0;
-            rh.chainRecord[c] = live ? ch.record : NO_RECORD;
+            if (rh.chainRecord[c] >= kept) {
+                rh.chainTargetPc[c] = 0;
+                rh.chainRecord[c] = NO_RECORD;
+            }
         }
-        rh.numX86Insns = s.entry.numX86Insns;
-        rh.x86Bytes = s.entry.x86Bytes;
-        rh.codeBytes = static_cast<u32>(s.entry.body.size());
-        rh.nPcs = static_cast<u32>(s.entry.x86pcs.size());
-        rh.nUops = static_cast<u32>(t->uops.size());
-        rh.kind = s.entry.kind == TransKind::Superblock ? 1 : 0;
-        rh.flags =
-            (s.entry.containsComplex ? IMG_F_COMPLEX : 0) |
-            (s.entry.endsInCti ? IMG_F_ENDS_CTI : 0) |
-            (s.entry.endsInCondBranch ? IMG_F_ENDS_COND : 0) |
-            static_cast<u8>(static_cast<u8>(s.entry.provenance)
-                            << IMG_F_PROV_SHIFT);
-
         u8 *rp = at(sec(ImageSection::Records).offset + rec_off[i]);
         std::memcpy(rp, &rh, sizeof rh);
         rp += sizeof rh;
-        std::memcpy(rp, s.entry.x86pcs.data(),
-                    s.entry.x86pcs.size() * sizeof(Addr));
-        rp += s.entry.x86pcs.size() * sizeof(Addr);
-        for (const uops::Uop &u : t->uops) {
+        std::memcpy(rp, s.x86pcs.data(), s.x86pcs.size_bytes());
+        rp += s.x86pcs.size_bytes();
+        for (const uops::Uop &u : s.uops) {
             writeUop(rp, u);
             rp += sizeof(uops::Uop);
         }
@@ -810,7 +867,7 @@ ImageBuilder::build()
 // --- ImageStore -----------------------------------------------------
 
 LoadError
-ImageStore::append(const Repository &delta, u64 size_budget)
+ImageStore::append(const TransImage &delta, u64 size_budget)
 {
     const std::shared_ptr<const TransImage> basis = acquire();
     ImageBuilder b(ImageBuilder::Options{

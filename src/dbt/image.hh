@@ -1,18 +1,17 @@
 /**
  * @file
- * Zero-copy shared translation image: the warm-start repository laid
- * out as one contiguous, page-aligned, content-addressed blob that is
- * mmap'd (or adopted with a single memcpy) and patched in a single
- * relocation pass.
+ * Zero-copy shared translation image: the one warm-start format. A
+ * VM's translations, hot counts and branch profile are laid out as one
+ * contiguous, page-aligned, content-addressed blob that is mmap'd (or
+ * adopted with a single memcpy) and patched in a single relocation
+ * pass.
  *
- * The v1 repository (dbt/persist) decodes and copies every record
- * body at load: varint uop decode, x86pc side-table re-attachment,
- * re-encode into the code cache. This format stores the execution
- * form directly -- raw trivially-copyable uops::Uop arrays with the
- * precise-state tags already attached -- so a warm install binds a
- * Translation to a *view* into the mapped image and never touches the
- * body bytes. N fleet contexts (and sibling processes mapping the
- * same file) share one physical copy.
+ * The image stores the execution form directly -- raw
+ * trivially-copyable uops::Uop arrays with the precise-state tags
+ * already attached -- so a warm install binds a Translation to a
+ * *view* into the mapped image and never touches the body bytes. N
+ * fleet contexts (and sibling processes mapping the same file) share
+ * one physical copy.
  *
  * Layout (little-endian, every section 8-aligned):
  *
@@ -35,21 +34,16 @@
  * silently cold-falls-back any record that does not match.
  *
  * Sharing protocol: single writer, many readers. Readers acquire a
- * shared_ptr<const TransImage> (ImageStore::acquire) and install from
- * it; the writer builds a *new* generation (append/compact) and
- * publishes it with one shared_ptr swap. An old generation stays
- * alive -- and every view into it stays valid -- until its last
- * reader releases the handle.
- *
- * Durability: appendDelta() adds a delta segment (an independently
- * checksummed v1 payload) after the base image without rewriting it;
- * load() verifies and merges the segments through the builder
- * (compaction), and save() writes the compacted result.
+ * shared_ptr<const TransImage> (ImageEndpoint::acquire) and install
+ * from it; the writer builds a *new* generation and publishes it with
+ * one shared_ptr swap. An old generation stays alive -- and every view
+ * into it stays valid -- until its last reader releases the handle.
  */
 
 #ifndef CDVM_DBT_IMAGE_HH
 #define CDVM_DBT_IMAGE_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,19 +53,74 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dbt/lookup.hh"
 #include "dbt/mapsource.hh"
-#include "dbt/persist.hh"
+#include "dbt/translation.hh"
 #include "uops/uop.hh"
+#include "x86/memory.hh"
 
 namespace cdvm::dbt
 {
 
 /** Image file magic ("CDVMIMG2" as a little-endian u64). */
 constexpr u64 IMAGE_MAGIC = 0x32474D494D564443ull;
-/** Image format version (v1 is the CDVMREPO record format). */
+/** Image format version. */
 constexpr u32 IMAGE_VERSION = 2;
-/** Delta-segment magic ("CDVMDSEG" as a little-endian u64). */
-constexpr u64 DELTA_MAGIC = 0x4745534D44564443ull;
+
+/** Why an image failed to load. */
+enum class LoadError
+{
+    None,
+    Io,         //!< file missing / unreadable
+    BadMagic,   //!< not an image file
+    BadVersion, //!< format version mismatch
+    Truncated,  //!< file ends mid-image
+    Corrupt,    //!< checksum mismatch (bit flip) or malformed structure
+};
+
+const char *loadErrorName(LoadError e);
+
+/**
+ * errno captured at this thread's most recent failing I/O operation on
+ * an image load or save path (0 = no failure recorded).
+ * LoadError::Io says *that* an OS call failed; this says *why*.
+ */
+int lastIoErrno();
+/** Record errno detail for lastIoErrno() (load/save internals). */
+void setLastIoErrno(int err);
+/** loadErrorName() plus, for Io, the captured strerror detail. */
+std::string loadErrorDetail(LoadError e);
+
+/**
+ * Atomically replace path with bytes: write a temp file in the same
+ * directory, flush it to stable storage (fsync where available), then
+ * rename() over path. A concurrent reader of path sees either the old
+ * complete file or the new complete file, never a torn mix -- the
+ * contract the image host relies on when replacing an image under
+ * live mappers. On failure the temp file is removed and lastIoErrno()
+ * has the detail.
+ */
+bool atomicWriteFile(const std::string &path, std::span<const u8> bytes);
+
+/** FNV-1a over a byte span (the format's page and image hash). */
+u64 fnv1a(std::span<const u8> bytes);
+
+/** fnv1a content hash of one 4K guest code page (staleness unit). */
+u64 guestPageHash(const x86::Memory &mem, Addr page);
+
+/**
+ * The 4K guest pages a translated region touches (conservative: each
+ * covered instruction may straddle into the next page). The unit of a
+ * record's content address.
+ */
+std::vector<Addr> coveredPages(Addr entry_pc,
+                               std::span<const Addr> x86pcs);
+
+/** Rank of a translation for hotness-ordered capture; bigger = hotter. */
+using HotnessFn = std::function<u64(const Translation &)>;
+
+/** Record index meaning "no record" (an unchained exit). */
+constexpr u32 NO_RECORD = 0xFFFFFFFFu;
 
 /** Section order in the image's section table. */
 enum class ImageSection : u32
@@ -208,8 +257,8 @@ u64 pageSetKey(std::span<const std::pair<Addr, u64>> sorted_pages);
  * MapSource — a private file mapping, a MAP_SHARED mapping of a
  * daemon-passed fd, or one adopted aligned buffer (one memcpy). All
  * accessors return views into that backing store; the TransImage must
- * outlive every view, which the engine guarantees by holding a
- * shared_ptr on the services handle.
+ * outlive every view, which the Vmm guarantees by holding the acquired
+ * generation handle for its whole life.
  */
 class TransImage
 {
@@ -222,12 +271,9 @@ class TransImage
     TransImage &operator=(const TransImage &) = delete;
 
     /**
-     * Map (or read) an image file. Transparent migration: a v1
-     * "CDVMREPO" file is parsed through dbt/persist and converted in
-     * memory (migratedFromV1() reports it); a v2 image with appended
-     * delta segments is verified segment-by-segment and compacted.
-     * A clean single-segment v2 image stays a zero-copy file mapping.
-     * out is valid only on LoadError::None.
+     * Map (or, off unix, read) an image file zero-copy. The file must
+     * hold exactly one image: trailing bytes are Corrupt. out is valid
+     * only on LoadError::None.
      */
     static LoadError load(const std::string &path, TransImage &out);
 
@@ -235,8 +281,7 @@ class TransImage
      * Map an already-open image fd MAP_SHARED read-only (the
      * cross-process serving path: a sealed memfd or file received
      * over a Unix-domain socket). The fd is borrowed — the caller may
-     * close it after this returns. Migration and delta merge work
-     * exactly like load().
+     * close it after this returns. Verifies exactly like load().
      */
     static LoadError loadFd(int fd, TransImage &out);
 
@@ -248,25 +293,19 @@ class TransImage
      *  replace: a concurrent mapper never observes a torn image). */
     static bool save(const std::string &path, std::span<const u8> image);
 
-    /**
-     * Append a delta segment -- an independently checksummed capture
-     * -- after the existing base image without rewriting it. load()
-     * merges base + deltas (compaction on read). @return success.
-     */
-    static bool appendDelta(const std::string &path,
-                            const Repository &delta);
-
     const ImageHeader &header() const { return *hdr; }
     u64 sizeBytes() const { return len; }
+    /** The verified image bytes (what save() and publishing take). */
+    std::span<const u8> bytes() const
+    {
+        return {base, static_cast<std::size_t>(len)};
+    }
     /** Backed by a shareable mapping (file or passed fd) rather than
      *  a private heap copy. */
     bool isMapped() const { return backing.shared(); }
     MapSource::Kind backingKind() const { return backing.kind(); }
     /** Page-residency snapshot of the backing (dbt.image.pages.*). */
     MapResidency residency() const { return backing.residency(); }
-    /** Delta segments merged at load (0 for a compact image). */
-    unsigned deltaSegments() const { return deltas; }
-    bool migratedFromV1() const { return migrated; }
 
     std::size_t recordCount() const { return recIndex.size(); }
 
@@ -290,25 +329,18 @@ class TransImage
         return branches;
     }
 
-    /** Expand back to a v1-style in-memory repository (round-trip
-     *  tests, delta compaction, v1 interop). */
-    Repository toRepository() const;
-
   private:
     /** Verify magic/version/size/checksum, then structure; bind the
      *  section views. base/len must already be set. */
     LoadError verify();
     void reset();
-    /** Shared load tail over any backing: v1 migration, verification,
-     *  delta-segment merge. out is valid only on LoadError::None. */
+    /** Shared load tail over any backing: verify the one image it
+     *  holds. out is valid only on LoadError::None. */
     static LoadError fromSource(MapSource src, TransImage &out);
 
     MapSource backing;        //!< owns the bytes (map or heap copy)
     const u8 *base = nullptr; //!< verified image bytes (8-aligned)
-    u64 len = 0;              //!< full backing size (deltas included)
-
-    unsigned deltas = 0;
-    bool migrated = false;
+    u64 len = 0;              //!< image size (== header().totalBytes)
 
     const ImageHeader *hdr = nullptr;
     std::span<const ImagePageHash> pages;
@@ -320,11 +352,17 @@ class TransImage
 };
 
 /**
- * Builds image blobs from repositories and/or existing images:
+ * Builds image blobs from live translation maps and existing images:
  * content-addressed dedupe (two contexts with identical guest pages
  * share one record), hotness-ranked order (insertion order -- capture
- * is already hottest-first), and cold-tail eviction against a size
- * budget at build().
+ * is hottest-first), and cold-tail eviction against a size budget at
+ * build().
+ *
+ * A staged record is its header fields plus views: its x86 pcs and
+ * uops are read straight out of the source until build() lays them
+ * out, never copied or re-encoded before. So every source handed to
+ * add() -- the TranslationMap (and its guest memory) or the TransImage
+ * -- must outlive build() and stay unmodified until it returns.
  */
 class ImageBuilder
 {
@@ -342,9 +380,20 @@ class ImageBuilder
     ImageBuilder() = default;
     explicit ImageBuilder(Options o) : opt(o) {}
 
-    /** Merge a repository's records (dedupe by content + pageKey). */
-    void add(const Repository &repo);
-    /** Merge an existing image (compaction / delta merge). */
+    /**
+     * Capture: stage every live translation of map (views into the
+     * translations) with its hot counts and live chains, content-
+     * addressed against mem, plus a branch profile. With a hotness
+     * function, records are ordered hottest-first (ties by ascending
+     * entry PC), so a warm start installs the most valuable
+     * translations before the code-cache arenas can fill and flush;
+     * without one, map iteration order is kept. Chains into
+     * translations that are not live are dropped.
+     */
+    void add(const TranslationMap &map, const x86::Memory &mem,
+             std::span<const ImageBranchStat> branch_profile,
+             const HotnessFn &hotness = {});
+    /** Merge an existing image (views into its records). */
     void add(const TransImage &img);
 
     /** Serialize to the checksummed image blob. */
@@ -358,16 +407,22 @@ class ImageBuilder
   private:
     struct Staged
     {
-        SavedTranslation entry; //!< chains remapped to builder indices
-        u64 pageKey = 0;
+        /** Chains hold builder indices; pageKey is the content
+         *  address this record was staged under. */
+        ImageRecordHeader hdr;
+        std::span<const Addr> x86pcs;
+        std::span<const uops::Uop> uops;
         u64 contentKey = 0;
     };
 
-    /** Dedupe-or-stage one entry (chains reset; caller re-binds).
-     *  @return the builder index the entry landed on. */
-    u32 stage(SavedTranslation &&e, u64 page_key);
+    /** Dedupe-or-stage one record (chains reset; caller re-binds).
+     *  @return the builder index the record landed on. */
+    u32 stage(const ImageRecordHeader &hdr, std::span<const Addr> pcs,
+              std::span<const uops::Uop> body);
     /** Fill a staged record's chain slot if it is still empty. */
     void bindChain(u32 from, unsigned slot, Addr target_pc, u32 to);
+    /** Merge one branch-profile entry (the hotter counts win). */
+    void addBranch(const ImageBranchStat &b);
 
     Options opt;
     std::vector<Staged> recs;
@@ -379,12 +434,14 @@ class ImageBuilder
 };
 
 /**
- * Where a VM gets its warm-start image generations from. One
- * interface, two bindings: ImageStore (in-process, the image lives in
- * this address space) and serve::ImageClient (cross-process, the image
- * is a MAP_SHARED mapping of an fd served by an ImageHost daemon).
- * Consumers — Vmm construction, fleet admission — resolve the
- * endpoint to a generation handle and never care which binding it is.
+ * Where a VM gets its warm-start image generations from -- the one
+ * warm-start source. Two bindings: ImageStore (in-process, the image
+ * lives in this address space; a file loaded or an image built here is
+ * pinned by constructing a store around it) and serve::ImageClient
+ * (cross-process, the image is a MAP_SHARED mapping of an fd served by
+ * an ImageHost daemon). Consumers — Vmm construction, fleet admission
+ * — resolve the endpoint to a generation handle and never care which
+ * binding it is.
  */
 class ImageEndpoint
 {
@@ -401,17 +458,18 @@ class ImageEndpoint
 
 /**
  * Generation store for single-writer / concurrent-reader sharing.
- * Readers acquire the current image handle; the writer merges deltas
- * or compacts into a *new* image and publishes it with one swap. Old
- * generations stay valid until their last reader releases the handle
- * (shared_ptr lifetime), so installs racing a publish are safe.
+ * Readers acquire the current image handle; the writer merges a delta
+ * into a *new* image and publishes it with one swap. Old generations
+ * stay valid until their last reader releases the handle (shared_ptr
+ * lifetime), so installs racing a publish are safe.
  */
 class ImageStore : public ImageEndpoint
 {
   public:
     ImageStore() = default;
+    /** A store pinned to one image (generation 1 when non-null). */
     explicit ImageStore(std::shared_ptr<const TransImage> initial)
-        : cur(std::move(initial))
+        : cur(std::move(initial)), gen(cur ? 1 : 0)
     {
     }
 
@@ -433,11 +491,11 @@ class ImageStore : public ImageEndpoint
     }
 
     /**
-     * Writer side: merge the current generation with a freshly
-     * captured delta (dedupe + optional size budget) and publish the
-     * result. Readers mid-install keep their old generation.
+     * Writer side: merge the current generation with a delta image
+     * (dedupe + optional size budget) and publish the result. Readers
+     * mid-install keep their old generation.
      */
-    LoadError append(const Repository &delta, u64 size_budget = 0);
+    LoadError append(const TransImage &delta, u64 size_budget = 0);
 
     u64
     generation() const override

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "dbt/persist.hh"
+#include "dbt/image.hh"
 
 #ifdef __unix__
 #include <fcntl.h>

@@ -129,16 +129,6 @@ struct EngineConfig
 
     // --- persistent warm start --------------------------------------
     /**
-     * Load a translation repository (dbt/persist format) before the
-     * first dispatched instruction: validated BBT+SBT translations are
-     * installed into the fresh code caches and the branch profile and
-     * hot counts are seeded. Stale or invalid entries silently fall
-     * back to the cold path. Empty: cold start.
-     */
-    std::string warmStartLoadPath;
-    /** Save the translation repository after run() (empty: never). */
-    std::string warmStartSavePath;
-    /**
      * Size budget for a saved warm-start image in bytes (0 =
      * unlimited). When the captured image would exceed it, the
      * coldest tail of the hotness ranking is evicted at save time.
@@ -151,7 +141,7 @@ struct EngineConfig
      * instructions (0 disables sampling). Every period-th instruction
      * the dispatch loop attributes one sample to {guest page,
      * translation, stage}; the aggregate heatmap feeds the warm-start
-     * repository's hotness ranking and the --profile-out export.
+     * image's hotness ranking and the --profile-out export.
      */
     u64 profileSamplePeriod = 4096;
     /**
@@ -239,13 +229,14 @@ struct EngineStats
     u64 asyncSbtStaleDropped = 0; //!< results dropped as stale
     u64 asyncSbtQueueRejects = 0; //!< requests dropped (queue full)
     // Persistent warm start.
-    u64 warmLoaded = 0;         //!< records read from the repository
+    u64 warmLoaded = 0;         //!< records in the warm image
     u64 warmInstalled = 0;      //!< translations installed pre-dispatch
     u64 warmInsnsInstalled = 0; //!< x86 instructions those cover
-    u64 warmInvalidated = 0;   //!< records rejected (stale/malformed)
+    u64 warmInvalidated = 0;   //!< records rejected (stale guest code)
     u64 warmProfileSeeded = 0; //!< branch-profile entries seeded
-    u64 warmBodyCopies = 0;    //!< per-record decode+copy installs (0
-                               //!< on the zero-copy image path)
+    u64 warmBodyCopies = 0;    //!< per-record body copies at warm
+                               //!< install: 0 by construction (every
+                               //!< install is a view into the image)
     u64 warmRelocations = 0;   //!< chain links re-bound at warm start
     u64 warmMappedBytes = 0;   //!< shared-image bytes installed from
 

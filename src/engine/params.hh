@@ -94,19 +94,12 @@ inline constexpr double INTERP_SLOWDOWN = 35.0;
 // --- Warm-start install cost (this repo's measured constants) -------
 
 /**
- * v1 repository install: per-record varint decode, x86pc side-table
- * re-attachment, re-encode + copy into the code cache — ~3 cycles per
- * installed x86 instruction on the modeled machine.
- */
-inline constexpr double WARM_LOAD_DECODE_CPI = 3.0;
-
-/**
  * Zero-copy image install: translations bind views into the mapped
- * image, so the per-instruction work left is the content-address
- * check, arena reservation and the relocation pass — ~1 cycle per
- * installed x86 instruction. Justified by the measured host-side
- * install ratio in bench_warmstart (image.load_ratio_vs_decode,
- * gated >= 2x in CI).
+ * image, so the per-instruction work is the content-address check,
+ * arena reservation and the relocation pass -- ~1 cycle per installed
+ * x86 instruction on the modeled machine. The timing model's
+ * warmLoadCyclesPerInsn and the fleet clock's warm-install weight both
+ * use it.
  */
 inline constexpr double WARM_LOAD_MAPPED_CPI = 1.0;
 

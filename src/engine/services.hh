@@ -3,12 +3,12 @@
  * Process-shared services for multi-context emulation.
  *
  * A Vmm used to be the whole process: one guest context, one set of
- * worker threads, one warm-start repository read off disk. A
- * multi-tenant server hosts hundreds of contexts in one process, and
- * splitting the Vmm's state into *per-context* (registers, guest
- * memory, code caches, lookup structures, profilers, stats) versus
- * *process-shared* (background translation workers, the parsed
- * read-only warm-start repository) is what makes that cheap:
+ * worker threads, one warm-start image read off disk. A multi-tenant
+ * server hosts hundreds of contexts in one process, and splitting the
+ * Vmm's state into *per-context* (registers, guest memory, code caches,
+ * lookup structures, profilers, stats) versus *process-shared*
+ * (background translation workers, the warm-start image source) is
+ * what makes that cheap:
  *
  *  - SharedServices::sbtPool -- one bounded ThreadPool whose worker
  *    contexts serve every tenant's background SBT requests. Each
@@ -16,16 +16,14 @@
  *    in-flight set, so results can never cross tenants; only the
  *    workers and the request queue (and therefore the back-pressure)
  *    are shared.
- *  - SharedServices::warmRepo -- one parsed dbt::Repository shared
- *    read-only by every context warm-starting from the same image.
- *    The file is read and checksummed once per process instead of
- *    once per context; installation (validation against the
- *    context's own guest memory, code-cache allocation, chain
- *    re-binding) stays per-context.
+ *  - SharedServices::imageEndpoint -- the one warm-start source. Every
+ *    context warm-starting from it installs views into the same
+ *    verified image: the image is mapped and checksummed once per
+ *    process (or once per host, when a daemon serves it), while
+ *    installation (validation against the context's own guest memory,
+ *    code-cache allocation, chain re-binding) stays per-context.
  *
- * A null/empty SharedServices leaves the Vmm exactly as before: it
- * owns a private pool and loads its repository from
- * EngineConfig::warmStartLoadPath.
+ * A default SharedServices boots the Vmm cold with a private pool.
  */
 
 #ifndef CDVM_ENGINE_SERVICES_HH
@@ -35,7 +33,6 @@
 
 #include "common/threadpool.hh"
 #include "dbt/image.hh"
-#include "dbt/persist.hh"
 
 namespace cdvm::engine
 {
@@ -51,28 +48,13 @@ struct SharedServices
     ThreadPool *sbtPool = nullptr;
 
     /**
-     * Parsed warm-start repository, shared read-only. When set, it
-     * takes precedence over EngineConfig::warmStartLoadPath (the
-     * config path is what the repository was loaded from).
-     */
-    std::shared_ptr<const dbt::Repository> warmRepo;
-
-    /**
-     * Verified zero-copy translation image, shared read-only by every
-     * context (and, via the file mapping, by sibling processes). Takes
-     * precedence over warmRepo and the config path. Contexts install
-     * *views* into this image, so it must outlive every Vmm holding
-     * it — which the shared_ptr guarantees per context.
-     */
-    std::shared_ptr<const dbt::TransImage> warmImage;
-
-    /**
-     * Where to *get* image generations from when warmImage is not
-     * pinned explicitly: an in-process dbt::ImageStore or a
-     * serve::ImageClient bound to an image-host daemon — one
-     * interface, resolved to a generation handle at Vmm construction
-     * (and at fleet admission). A null acquire() means boot cold, so
-     * a missing/failed daemon degrades gracefully.
+     * Where to get the warm-start image from: a dbt::ImageStore (an
+     * image built or loaded in this process, pinned with
+     * std::make_shared<dbt::ImageStore>(image)) or a
+     * serve::ImageClient bound to an image-host daemon. Resolved to a
+     * generation handle at Vmm construction (and at fleet admission);
+     * null, or a null acquire(), means boot cold, so a missing or
+     * failed daemon degrades gracefully.
      */
     std::shared_ptr<dbt::ImageEndpoint> imageEndpoint;
 };

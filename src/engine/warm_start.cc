@@ -3,107 +3,11 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/logging.hh"
-
 namespace cdvm::engine
 {
 
-using dbt::LoadError;
-using dbt::NO_RECORD;
-using dbt::Repository;
-using dbt::SavedChain;
-using dbt::SavedTranslation;
 using dbt::TransId;
 using dbt::Translation;
-
-WarmStartReport
-warmStartLoad(const std::string &path, const x86::Memory &mem,
-              CodeCacheManager &ccm, BranchProfile &prof,
-              EventStream *events)
-{
-    WarmStartReport rep;
-    // TransImage::load maps a v2 image zero-copy and transparently
-    // migrates a v1 "CDVMREPO" file through the builder.
-    auto img = std::make_shared<dbt::TransImage>();
-    rep.error = dbt::TransImage::load(path, *img);
-    if (rep.error != LoadError::None) {
-        cdvm_debug("warm start: '%s' not loaded (%s)", path.c_str(),
-                   dbt::loadErrorName(rep.error));
-        return rep;
-    }
-    rep = warmStartInstall(*img, mem, ccm, prof, events);
-    rep.image = std::move(img);
-    return rep;
-}
-
-WarmStartReport
-warmStartInstall(const Repository &repo, const x86::Memory &mem,
-                 CodeCacheManager &ccm, BranchProfile &prof,
-                 EventStream *events)
-{
-    WarmStartReport rep;
-    rep.ok = true;
-    rep.loaded = repo.entries.size();
-
-    const std::unordered_set<std::size_t> stale =
-        dbt::staleEntries(repo, mem);
-
-    // Install the fresh records; remember record -> new TransId so
-    // the saved chains can be re-bound afterwards.
-    std::vector<TransId> record_ids(repo.entries.size());
-    for (std::size_t i = 0; i < repo.entries.size(); ++i) {
-        if (stale.count(i)) {
-            ++rep.invalidated;
-            continue;
-        }
-        std::unique_ptr<Translation> t = repo.entries[i].materialize();
-        if (!t) {
-            ++rep.invalidated;
-            continue;
-        }
-        CodeCacheManager::InstallResult res = ccm.install(std::move(t));
-        record_ids[i] = res.trans->id;
-        ++rep.installed;
-        rep.installedInsns += res.trans->numX86Insns;
-        if (events) {
-            StageEvent ev;
-            ev.stage = TracePhase::WarmInstall;
-            ev.insns = res.trans->numX86Insns;
-            ev.x86Addr = res.trans->entryPc;
-            ev.x86Bytes = res.trans->x86Bytes;
-            ev.codeAddr = res.trans->codeAddr;
-            ev.codeBytes = res.trans->codeBytes;
-            ev.arg = res.trans->entryPc;
-            ev.transId = res.trans->id.raw();
-            events->emit(ev);
-        }
-    }
-
-    // Every accepted record paid a decode + re-encode copy.
-    rep.bodyCopies = rep.installed;
-
-    // Re-bind chains: both ends must have survived (a flush during the
-    // warm fill, or an invalidated endpoint, makes resolve fail and
-    // the link is simply dropped — the VMM re-chains lazily).
-    for (std::size_t i = 0; i < repo.entries.size(); ++i) {
-        Translation *from = ccm.resolve(record_ids[i]);
-        if (!from)
-            continue;
-        for (const SavedChain &c : repo.entries[i].chains) {
-            if (c.record == NO_RECORD)
-                continue;
-            const TransId to = record_ids[c.record];
-            if (ccm.resolve(to) && from->addChain(c.targetPc, to))
-                ++rep.relocations;
-        }
-    }
-
-    for (const dbt::SavedBranchStat &b : repo.branchProfile) {
-        prof.seed(b.pc, b.taken, b.notTaken);
-        ++rep.profileSeeded;
-    }
-    return rep;
-}
 
 WarmStartReport
 warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
@@ -111,7 +15,6 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
                  EventStream *events)
 {
     WarmStartReport rep;
-    rep.ok = true;
     rep.loaded = img.recordCount();
     rep.mappedBytes = img.sizeBytes();
 
@@ -202,28 +105,6 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
         ++rep.profileSeeded;
     }
     return rep;
-}
-
-Repository
-warmStartCapture(const dbt::TranslationMap &map,
-                 const x86::Memory &mem, const BranchProfile &prof,
-                 const dbt::HotnessFn &hotness)
-{
-    Repository repo = dbt::capture(map, mem, hotness);
-    prof.forEach([&repo](Addr pc, u64 taken, u64 not_taken) {
-        repo.branchProfile.push_back(
-            dbt::SavedBranchStat{pc, taken, not_taken});
-    });
-    return repo;
-}
-
-bool
-warmStartSave(const std::string &path, const dbt::TranslationMap &map,
-              const x86::Memory &mem, const BranchProfile &prof,
-              const dbt::HotnessFn &hotness)
-{
-    return dbt::saveFile(path,
-                         warmStartCapture(map, mem, prof, hotness));
 }
 
 } // namespace cdvm::engine

@@ -1,26 +1,22 @@
 /**
  * @file
- * Warm start: populate a fresh engine from a persistent translation
- * repository (dbt/persist) before the first dispatched instruction.
+ * Warm start: populate a fresh engine from a verified translation
+ * image (dbt/image) before the first dispatched instruction.
  *
- * Loading validates every record against current guest memory (page
- * hashes), materializes the survivors, installs them through the
- * normal CodeCacheManager path (so codeAddr is recomputed and the
- * encoded bodies really land in the concealed code caches), re-binds
- * the saved chains to the freshly assigned TransIds, and seeds the
- * branch-direction profile plus per-translation hot counts. Anything
- * stale or malformed is skipped: the VM silently falls back to the
- * cold path for exactly those regions.
+ * Installing validates every record against current guest memory (its
+ * content address), binds the survivors to views into the image,
+ * installs them through the normal CodeCacheManager path (so codeAddr
+ * is recomputed and the arena accounting is real), re-binds the saved
+ * chains to the freshly assigned TransIds in one relocation pass, and
+ * seeds the branch-direction profile plus per-translation hot counts.
+ * Anything stale is skipped: the VM silently falls back to the cold
+ * path for exactly those regions.
  */
 
 #ifndef CDVM_ENGINE_WARM_START_HH
 #define CDVM_ENGINE_WARM_START_HH
 
-#include <memory>
-#include <string>
-
 #include "dbt/image.hh"
-#include "dbt/persist.hh"
 #include "engine/cache_mgr.hh"
 #include "engine/events.hh"
 #include "engine/profile.hh"
@@ -28,102 +24,39 @@
 namespace cdvm::engine
 {
 
-/** Outcome of a warm-start load. */
+/** Outcome of a warm-start install. */
 struct WarmStartReport
 {
-    /** The repository file parsed and verified (individual entries
-     *  may still have been invalidated). */
-    bool ok = false;
-    dbt::LoadError error = dbt::LoadError::None;
-    u64 loaded = 0;         //!< records read from the repository
+    u64 loaded = 0;         //!< records in the image
     u64 installed = 0;      //!< translations installed pre-dispatch
     u64 installedInsns = 0; //!< x86 instructions those cover (the
                             //!< warm-fill work a cycle model prices)
-    u64 invalidated = 0;    //!< records rejected (stale guest code or
-                            //!< malformed body)
+    u64 invalidated = 0;    //!< records rejected (stale guest code)
     u64 profileSeeded = 0;  //!< branch-profile entries seeded
-    /** Per-record body copies performed (decode + re-encode). The v1
-     *  repository path pays one per install; the zero-copy image path
-     *  is 0 by construction. */
-    u64 bodyCopies = 0;
-    /** Chain links re-bound (the image path does these in a single
-     *  flat relocation pass). */
+    /** Chain links re-bound in the flat relocation pass. */
     u64 relocations = 0;
-    /** Bytes of the shared image this context installed from (0 for
-     *  the v1 path). */
+    /** Bytes of the shared image this context installed from. */
     u64 mappedBytes = 0;
-    /** The image warmStartLoad parsed, when it loaded one: the caller
-     *  must keep it alive as long as the engine runs, because mapped
-     *  translations are views into it. */
-    std::shared_ptr<const dbt::TransImage> image;
 };
-
-/**
- * Load path into the engine: install validated translations into ccm
- * and seed prof. Never throws; a missing/corrupt file or stale
- * entries just leave the engine (partially) cold. With an event
- * stream, each install is emitted as a WarmInstall StageEvent (insns
- * = translated x86 instructions), so attached profiling sinks see the
- * warm fill as work.
- */
-WarmStartReport warmStartLoad(const std::string &path,
-                              const x86::Memory &mem,
-                              CodeCacheManager &ccm,
-                              BranchProfile &prof,
-                              EventStream *events = nullptr);
-
-/**
- * Install an already-parsed repository (the shared read-only handle a
- * multi-tenant server loads once and hands to every context booting
- * the same image). Validation against *this* context's guest memory,
- * materialization, code-cache installation, chain re-binding, and
- * profile seeding all happen here, per context; only the parse and
- * checksum were amortized. report.ok is always true (the bytes were
- * verified when the handle was created).
- */
-WarmStartReport warmStartInstall(const dbt::Repository &repo,
-                                 const x86::Memory &mem,
-                                 CodeCacheManager &ccm,
-                                 BranchProfile &prof,
-                                 EventStream *events = nullptr);
 
 /**
  * Zero-copy install from a verified translation image: every accepted
  * record's Translation borrows its body and pc table straight from
- * the image (no decode, no copy — bodyCopies stays 0) and the saved
- * chains are re-bound in one pass over the flat relocation table.
- * Validation is per record against *this* context's guest memory: the
- * record's content address (pageKey) is recomputed from the current
- * page hashes and any mismatch silently falls back cold. The image
- * must outlive the engine (hold it on the services handle).
+ * the image (no decode, no copy) and the saved chains are re-bound in
+ * one pass over the flat relocation table. Validation is per record
+ * against *this* context's guest memory: the record's content address
+ * (pageKey) is recomputed from the current page hashes and any
+ * mismatch silently falls back cold. The image must outlive the
+ * engine (the Vmm holds the generation handle). With an event stream,
+ * each install is emitted as a WarmInstall StageEvent (insns =
+ * translated x86 instructions), so attached profiling sinks see the
+ * warm fill as work.
  */
 WarmStartReport warmStartInstall(const dbt::TransImage &img,
                                  const x86::Memory &mem,
                                  CodeCacheManager &ccm,
                                  BranchProfile &prof,
                                  EventStream *events = nullptr);
-
-/**
- * Capture the live translations and branch profile into an in-memory
- * repository. With a hotness function, entries are ordered
- * hottest-first (see dbt::capture) so a warm start installs the most
- * valuable translations before the arenas can fill. This is the
- * fleet-server priming path: one capture feeds many contexts through
- * warmStartInstall without ever touching the filesystem.
- */
-dbt::Repository warmStartCapture(const dbt::TranslationMap &map,
-                                 const x86::Memory &mem,
-                                 const BranchProfile &prof,
-                                 const dbt::HotnessFn &hotness = {});
-
-/**
- * Capture (as above) and write the repository to a file.
- * @return success.
- */
-bool warmStartSave(const std::string &path,
-                   const dbt::TranslationMap &map,
-                   const x86::Memory &mem, const BranchProfile &prof,
-                   const dbt::HotnessFn &hotness = {});
 
 } // namespace cdvm::engine
 

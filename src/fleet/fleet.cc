@@ -161,8 +161,6 @@ FleetServer::FleetServer(const FleetConfig &config)
         tenantCfg.asyncTranslators = 0;
     }
     // Tenants never touch the filesystem on their own.
-    tenantCfg.warmStartLoadPath.clear();
-    tenantCfg.warmStartSavePath.clear();
     tenantCfg.flightDumpPath.clear();
 }
 
@@ -213,28 +211,15 @@ FleetServer::admit(std::size_t idx, u64 due)
 
     engine::SharedServices svc;
     svc.sbtPool = pool.get();
-    // One shared zero-copy image for the whole fleet wins over the
-    // per-class parsed repositories. An endpoint binding wins over
-    // both: it is resolved per admission, so later contexts pick up
-    // newly published generations.
-    if (cfg.imageEndpoint)
-        svc.warmImage = cfg.imageEndpoint->acquire();
-    if (!svc.warmImage && cfg.warmImage)
-        svc.warmImage = cfg.warmImage;
-    if (!svc.warmImage && !cfg.warmRepos.empty())
-        svc.warmRepo =
-            cfg.warmRepos[t.workload % cfg.warmRepos.size()];
+    svc.imageEndpoint = cfg.imageEndpoint;
 
     t.vm = std::make_unique<vmm::Vmm>(*t.mem, tenantCfg, svc);
     t.vm->attachSink(&t.clock);
     // The warm fill ran inside the ctor, before the sink attach:
     // charge it out of band so warm boots pay their install bill on
-    // the same clock cold boots pay translation on. Mapped-image
-    // installs skip the decode+copy, so they bill the cheaper rate.
-    const double warm_cpi =
-        svc.warmImage ? weights.warmInstallMapped : weights.warmInstall;
+    // the same clock cold boots pay translation on.
     t.clock.charge(
-        warm_cpi *
+        weights.warmInstall *
         static_cast<double>(t.vm->stats().warmInsnsInstalled));
 
     t.state = Tenant::State::Runnable;
@@ -264,7 +249,6 @@ FleetServer::retire(Tenant &t, u64 now)
     r.warmInstalled = st.warmInstalled;
     r.warmInvalidated = st.warmInvalidated;
     r.warmRelocations = st.warmRelocations;
-    r.warmBodyCopies = st.warmBodyCopies;
     r.asyncQueueRejects = st.asyncSbtQueueRejects;
     r.cacheFlushes = st.bbtCacheFlushes + st.sbtCacheFlushes;
     r.ok = !t.badState && r.reruns > 0;
@@ -459,12 +443,11 @@ FleetServer::exportStats(StatRegistry &reg) const
             "p99 admission-to-milestone latency (fleet cycles)");
 
     u64 warm_installed = 0, warm_invalidated = 0, rejects = 0,
-        flushes = 0, warm_relocs = 0, warm_copies = 0;
+        flushes = 0, warm_relocs = 0;
     for (const ContextResult &c : r.contexts) {
         warm_installed += c.warmInstalled;
         warm_invalidated += c.warmInvalidated;
         warm_relocs += c.warmRelocations;
-        warm_copies += c.warmBodyCopies;
         rejects += c.asyncQueueRejects;
         flushes += c.cacheFlushes;
     }
@@ -477,22 +460,21 @@ FleetServer::exportStats(StatRegistry &reg) const
     reg.set("fleet.warm.relocations_total",
             static_cast<double>(warm_relocs),
             "warm-start chain fixups across the fleet");
-    reg.set("fleet.warm.body_copies_total",
-            static_cast<double>(warm_copies),
-            "warm-start decode+copy installs (0 = zero-copy image)");
-    if (cfg.warmImage) {
+    // Image stats come from the endpoint's current generation, so a
+    // fleet bound to a store or a daemon reports what it serves.
+    if (const std::shared_ptr<const dbt::TransImage> img =
+            cfg.imageEndpoint ? cfg.imageEndpoint->acquire() : nullptr) {
         reg.set("fleet.warm.image.bytes",
-                static_cast<double>(cfg.warmImage->sizeBytes()),
+                static_cast<double>(img->sizeBytes()),
                 "bytes of the one image every context shares");
         reg.set("fleet.warm.image.records",
-                static_cast<double>(cfg.warmImage->recordCount()),
+                static_cast<double>(img->recordCount()),
                 "records in the shared image");
         reg.set("fleet.warm.image.dedupe_hits",
-                static_cast<double>(
-                    cfg.warmImage->header().dedupeHits),
+                static_cast<double>(img->header().dedupeHits),
                 "records merged by content at image build");
         reg.set("fleet.warm.image.evicted",
-                static_cast<double>(cfg.warmImage->header().evicted),
+                static_cast<double>(img->header().evicted),
                 "cold-tail records evicted by the image budget");
     }
     reg.set("fleet.async.queue_rejects_total",

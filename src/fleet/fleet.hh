@@ -79,14 +79,11 @@ struct WorkWeights
     double sbtExec = 1.0;
     double bbtTranslate = engine::params::BBT_CYCLES_PER_INSN;
     double sbtOptimize = engine::params::SBT_CYCLES_PER_INSN;
-    /** Warm-fill install cost per instruction for the v1 repository
-     *  path (decode + copy; engine/params WARM_LOAD_DECODE_CPI). */
-    double warmInstall = engine::params::WARM_LOAD_DECODE_CPI;
-    /** Warm-fill install cost per instruction when installing
-     *  zero-copy views from a shared mapped image (relocation only;
-     *  engine/params WARM_LOAD_MAPPED_CPI, the timing model's
+    /** Warm-fill install cost per instruction: zero-copy views into
+     *  the shared image, relocation only (engine/params
+     *  WARM_LOAD_MAPPED_CPI, the timing model's
      *  warmLoadCyclesPerInsn). */
-    double warmInstallMapped = engine::params::WARM_LOAD_MAPPED_CPI;
+    double warmInstall = engine::params::WARM_LOAD_MAPPED_CPI;
 
     static WorkWeights forConfig(const engine::EngineConfig &cfg);
 };
@@ -163,27 +160,17 @@ struct FleetConfig
     /** Workload shape template; seed is overridden per class. */
     workload::ProgramParams workloadParams;
 
-    /** Pre-parsed warm repositories, indexed by workload class
-     *  (empty: every context cold-boots). */
-    std::vector<std::shared_ptr<const dbt::Repository>> warmRepos;
-
     /**
-     * ONE shared zero-copy translation image for the whole fleet:
-     * every admitted context installs views from this mapping (dedupe
-     * by guest-page content keeps cross-class records apart). Takes
-     * precedence over warmRepos. The boot-storm win: N contexts, one
-     * parse, one physical copy, relocation-only installs.
-     */
-    std::shared_ptr<const dbt::TransImage> warmImage;
-
-    /**
-     * Image-endpoint binding: where the fleet *gets* its shared image
-     * from — an in-process dbt::ImageStore or a serve::ImageClient
-     * bound to an image-host daemon in another process. Highest
-     * precedence; resolved to a generation handle at each admission,
-     * so contexts admitted after a publish pick up the new generation
-     * while running contexts keep theirs. A null acquire() falls
-     * through to warmImage/warmRepos (and then to cold boots).
+     * The fleet's warm-start source: ONE shared zero-copy image for
+     * every context, from an in-process dbt::ImageStore or a
+     * serve::ImageClient bound to an image-host daemon in another
+     * process (null: every context cold-boots). Resolved to a
+     * generation handle at each admission, so contexts admitted after
+     * a publish pick up the new generation while running contexts
+     * keep theirs; a null acquire() boots that context cold. Dedupe
+     * by guest-page content keeps cross-class records apart. The
+     * boot-storm win: N contexts, one verification, one physical
+     * copy, relocation-only installs.
      */
     std::shared_ptr<dbt::ImageEndpoint> imageEndpoint;
 
@@ -215,7 +202,6 @@ struct ContextResult
     u64 warmInstalled = 0;
     u64 warmInvalidated = 0;
     u64 warmRelocations = 0; //!< chain fixups in the relocation pass
-    u64 warmBodyCopies = 0;  //!< 0 when installed from a mapped image
     u64 asyncQueueRejects = 0;
     u64 cacheFlushes = 0;
 

@@ -289,22 +289,6 @@ ImageHost::publish(std::span<const u8> blob)
     return true;
 }
 
-dbt::LoadError
-ImageHost::append(const dbt::Repository &delta, u64 size_budget)
-{
-    const std::shared_ptr<const dbt::TransImage> basis = acquire();
-    dbt::ImageBuilder b(dbt::ImageBuilder::Options{
-        size_budget,
-        (basis ? basis->header().generation : 0) + 1});
-    if (basis)
-        b.add(*basis);
-    b.add(delta);
-    const std::vector<u8> blob = b.build();
-    if (!publish(blob))
-        return dbt::LoadError::Io;
-    return dbt::LoadError::None;
-}
-
 } // namespace cdvm::serve
 
 #else // !__unix__
@@ -372,21 +356,6 @@ ImageHost::publish(std::span<const u8> blob)
     std::lock_guard<std::mutex> lock(mu);
     ++st.publishes;
     return true;
-}
-
-dbt::LoadError
-ImageHost::append(const dbt::Repository &delta, u64 size_budget)
-{
-    const std::shared_ptr<const dbt::TransImage> basis = acquire();
-    dbt::ImageBuilder b(dbt::ImageBuilder::Options{
-        size_budget,
-        (basis ? basis->header().generation : 0) + 1});
-    if (basis)
-        b.add(*basis);
-    b.add(delta);
-    if (!publish(b.build()))
-        return dbt::LoadError::Io;
-    return dbt::LoadError::None;
 }
 
 } // namespace cdvm::serve

@@ -75,13 +75,6 @@ class ImageHost : public dbt::ImageEndpoint
      */
     bool publish(std::span<const u8> blob);
 
-    /**
-     * Writer-side merge: current generation + freshly captured delta
-     * through the builder, then publish the compacted result.
-     */
-    dbt::LoadError append(const dbt::Repository &delta,
-                          u64 size_budget = 0);
-
     /** In-process endpoint view of the served store. */
     std::shared_ptr<const dbt::TransImage> acquire() const override;
     u64 generation() const override;

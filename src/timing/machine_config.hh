@@ -143,32 +143,27 @@ struct MachineConfig
     unsigned asyncTranslators = 0;
 
     /**
-     * Warm start from a persistent translation repository (dbt/persist
-     * format saved by a previous run). Instead of paying Delta_BBT
-     * lazily on every first touch, the machine pays an up-front load
-     * cost -- validating the repository against guest memory and
-     * copying the pre-translated bodies into the code cache -- and
-     * then runs every block as BBT code from the first instruction.
+     * Warm start from a translation image (dbt/image, saved by a
+     * previous run). Instead of paying Delta_BBT lazily on every first
+     * touch, the machine pays an up-front install cost -- validating
+     * each record against guest memory and binding it into the code
+     * cache -- and then runs every block as BBT code from the first
+     * instruction.
      */
     bool warmStart = false;
 
     /**
-     * Per-instruction cost of a warm install. The v1 repository paid
-     * ~3 cycles/insn (page-hash validation, fixed-format decode of
-     * the saved body, code-cache copy). The v2 zero-copy image drops
-     * the decode and the copy entirely -- translations bind views
-     * into the mapped image and only the content-address check plus
-     * one relocation pass remain -- so the default is ~1 cycle/insn.
-     * Measured justification: bench_warmstart's host-side install
-     * ratio (image.load_ratio_vs_decode) shows the mapped path >= 2x
-     * cheaper per installed instruction, gated in CI.
+     * Per-instruction cost of a warm install. Translations bind views
+     * into the mapped image, so only the content-address check, arena
+     * reservation and one relocation pass remain: ~1 cycle/insn
+     * (engine/params WARM_LOAD_MAPPED_CPI).
      */
     double warmLoadCyclesPerInsn =
         engine::params::WARM_LOAD_MAPPED_CPI;
 
     /**
      * Fraction of warm-load memory stall hidden by streaming: the
-     * loader walks the repository and both images strictly
+     * loader walks the image and the guest code strictly
      * sequentially, so hardware prefetch covers most read-miss
      * latency and write buffers drain code-cache stores off the
      * critical path. Demand misses during execution get no such
@@ -189,9 +184,9 @@ struct MachineConfig
     static MachineConfig vmSoftAsync(unsigned contexts = 2);
     /** VM.be with N background SBT contexts. */
     static MachineConfig vmBeAsync(unsigned contexts = 2);
-    /** VM.soft warm-started from a translation repository. */
+    /** VM.soft warm-started from a translation image. */
     static MachineConfig vmSoftWarm();
-    /** VM.be warm-started from a translation repository. */
+    /** VM.be warm-started from a translation image. */
     static MachineConfig vmBeWarm();
 
     /** All four Table 2 machines in paper order. */

@@ -532,8 +532,10 @@ class Cracker
             add.dst = R_ESP;
             add.src1 = R_ESP;
             add.hasImm = true;
-            add.imm = 4 + static_cast<i32>(in.src.isImm() ? in.src.imm
-                                                          : 0);
+            // Wraps like the 32-bit ESP update (operand sweeps reach
+            // INT32_MAX, where an i32 sum would overflow).
+            add.imm = static_cast<i32>(static_cast<u32>(
+                4 + (in.src.isImm() ? in.src.imm : 0)));
             Uop &j = emit(UOp::Jr);
             j.src1 = t;
             return;

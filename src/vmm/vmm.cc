@@ -78,7 +78,12 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
          const engine::SharedServices &services)
     : mem(memory),
       cfg(config),
-      svc(services),
+      // The one warm-start source resolves to a pinned generation
+      // here: the handle -- and every view installed from it -- stays
+      // valid even after the endpoint publishes newer generations.
+      warmImage(services.imageEndpoint
+                    ? services.imageEndpoint->acquire()
+                    : nullptr),
       traceSink(Tracer::global(), 0),
       branchProf(cfg.branchProfCap, cfg.branchProfReserve),
       sbtFailed(cfg.sbtFailedCap),
@@ -91,7 +96,7 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
       // *whose* workers serve it (fleet-wide versus private).
       asyncSbt(cfg.asyncTranslators > 0
                    ? std::make_unique<engine::AsyncSbtEngine>(
-                         cfg, svc.sbtPool)
+                         cfg, services.sbtPool)
                    : nullptr),
       translatedExec(memory, st, branchProf),
       prof(cfg.profileSamplePeriod),
@@ -125,44 +130,20 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
     if (cfg.snapshotEveryInsns)
         nextSnapshotAt = cfg.snapshotEveryInsns;
 
-    // Persistent warm start: install a previous run's validated
-    // translations and profiles before the first dispatched
-    // instruction. Failure of any kind just leaves the engine cold.
-    // Precedence: a shared zero-copy image handle (fleet mode, one
-    // mapping for every context) beats a shared pre-parsed repository
-    // beats the per-context file path; the parse/verify happened once
-    // per process, and the install still validates against *this*
-    // context's guest memory. A path load keeps the parsed image on
-    // the services handle: mapped translations are views into it.
-    //
-    // An image *endpoint* (in-process store or cross-process daemon
-    // client) resolves to a pinned generation handle here, before the
-    // precedence check: the handle — and every view installed from it
-    // — stays valid even after the endpoint publishes newer
-    // generations. A null acquire() (nothing published, daemon gone)
-    // simply leaves the lower-precedence sources in play.
-    if (!svc.warmImage && svc.imageEndpoint)
-        svc.warmImage = svc.imageEndpoint->acquire();
-    if (svc.warmImage || svc.warmRepo ||
-        !cfg.warmStartLoadPath.empty()) {
-        engine::WarmStartReport rep;
-        if (svc.warmImage) {
-            rep = engine::warmStartInstall(*svc.warmImage, mem, ccm,
-                                           branchProf, &events);
-        } else if (svc.warmRepo) {
-            rep = engine::warmStartInstall(*svc.warmRepo, mem, ccm,
-                                           branchProf, &events);
-        } else {
-            rep = engine::warmStartLoad(cfg.warmStartLoadPath, mem,
-                                        ccm, branchProf, &events);
-            svc.warmImage = rep.image;
-        }
+    // Warm start: install a previous run's validated translations
+    // and profiles before the first dispatched instruction. The image
+    // was verified once when it was loaded or served; the install
+    // still validates every record against *this* context's guest
+    // memory, and a null generation (nothing published, daemon gone)
+    // just leaves the engine cold.
+    if (warmImage) {
+        const engine::WarmStartReport rep = engine::warmStartInstall(
+            *warmImage, mem, ccm, branchProf, &events);
         st.warmLoaded = rep.loaded;
         st.warmInstalled = rep.installed;
         st.warmInsnsInstalled = rep.installedInsns;
         st.warmInvalidated = rep.invalidated;
         st.warmProfileSeeded = rep.profileSeeded;
-        st.warmBodyCopies = rep.bodyCopies;
         st.warmRelocations = rep.relocations;
         st.warmMappedBytes = rep.mappedBytes;
     }
@@ -173,37 +154,45 @@ Vmm::~Vmm()
     removeCrashHook(crashHook);
 }
 
-dbt::Repository
-Vmm::captureWarmStart() const
+std::vector<u8>
+Vmm::buildWarmImage() const
 {
     // Hotness-ordered capture: the profiler's samples rank first (the
     // measured heat of this run), per-translation entry counts break
-    // ties and carry the ranking when sampling is off. The repository
-    // then installs the most valuable translations first on the next
-    // warm start.
+    // ties and carry the ranking when sampling is off. The next warm
+    // start then installs the most valuable translations first, and
+    // the budget evicts the cold tail of that ranking.
     auto hotness = [this](const dbt::Translation &t) {
         const u64 cap = (u64{1} << 20) - 1;
         const u64 execs = t.execCount < cap ? t.execCount : cap;
         return (prof.transSamples(t.id.raw()) << 20) | execs;
     };
-    return engine::warmStartCapture(ccm.translations(), mem,
-                                    branchProf, hotness);
+    std::vector<dbt::ImageBranchStat> branches;
+    branchProf.forEach([&branches](Addr pc, u64 taken, u64 not_taken) {
+        branches.push_back(dbt::ImageBranchStat{pc, taken, not_taken});
+    });
+    dbt::ImageBuilder b(dbt::ImageBuilder::Options{
+        cfg.warmImageBudgetBytes, 1});
+    b.add(ccm.translations(), mem, branches, hotness);
+    return b.build();
+}
+
+dbt::TransImage
+Vmm::captureWarmStart() const
+{
+    dbt::TransImage img;
+    const dbt::LoadError e =
+        dbt::TransImage::adopt(buildWarmImage(), img);
+    if (e != dbt::LoadError::None)
+        cdvm_panic("built warm image failed verification: %s",
+                   dbt::loadErrorName(e));
+    return img;
 }
 
 bool
 Vmm::saveWarmStart(const std::string &path) const
 {
-    const std::string &dst =
-        path.empty() ? cfg.warmStartSavePath : path;
-    if (dst.empty())
-        return false;
-    // Written as a v2 zero-copy image (the next run maps it and
-    // installs views). The budget evicts the cold tail of the hotness
-    // ranking at build time.
-    dbt::ImageBuilder b(dbt::ImageBuilder::Options{
-        cfg.warmImageBudgetBytes, 1});
-    b.add(captureWarmStart());
-    return dbt::TransImage::save(dst, b.build());
+    return dbt::TransImage::save(path, buildWarmImage());
 }
 
 const hwassist::BranchBehaviorBuffer &
@@ -532,38 +521,31 @@ Vmm::exportCoreStats(StatRegistry &reg) const
         set("vmm.async.queue_rejects", st.asyncSbtQueueRejects,
             "requests dropped by queue back-pressure");
     }
-    if (svc.warmImage || svc.warmRepo ||
-        !cfg.warmStartLoadPath.empty()) {
+    if (warmImage) {
         set("vmm.warm.loaded", st.warmLoaded,
-            "repository records read at warm start");
+            "warm image records offered at warm start");
         set("vmm.warm.installed", st.warmInstalled,
             "translations installed before the first dispatch");
         set("vmm.warm.insns_installed", st.warmInsnsInstalled,
             "x86 instructions covered by the warm fill");
         set("vmm.warm.invalidated", st.warmInvalidated,
-            "repository records rejected as stale or malformed");
+            "warm image records rejected as stale");
         set("vmm.warm.profile_seeded", st.warmProfileSeeded,
-            "branch-profile entries seeded from the repository");
-        set("vmm.warm.body_copies", st.warmBodyCopies,
-            "per-record decode+copy installs (0 = zero-copy image)");
+            "branch-profile entries seeded from the image");
         set("vmm.warm.relocations", st.warmRelocations,
             "chain links re-bound by the warm relocation pass");
         set("vmm.warm.mapped_bytes", st.warmMappedBytes,
             "shared-image bytes this context installed from");
-    }
-    if (svc.warmImage) {
-        set("vmm.warm.image.generation",
-            svc.warmImage->header().generation,
+        set("vmm.warm.image.generation", warmImage->header().generation,
             "builder generation of the shared warm image");
-        set("vmm.warm.image.dedupe_hits",
-            svc.warmImage->header().dedupeHits,
+        set("vmm.warm.image.dedupe_hits", warmImage->header().dedupeHits,
             "records merged by content when the image was built");
-        set("vmm.warm.image.evicted", svc.warmImage->header().evicted,
+        set("vmm.warm.image.evicted", warmImage->header().evicted,
             "cold-tail records evicted by the image size budget");
         // Backing-store residency: how much of the image is faulted
         // in, and how much of that is physically shared with sibling
         // processes (file/fd mappings) rather than a private copy.
-        const dbt::MapResidency res = svc.warmImage->residency();
+        const dbt::MapResidency res = warmImage->residency();
         set("dbt.image.pages.total", res.pagesTotal,
             "pages spanned by the warm image backing store");
         set("dbt.image.pages.resident", res.pagesResident,

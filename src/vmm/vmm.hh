@@ -75,8 +75,11 @@ class Vmm
      *
      *  - services.sbtPool: background SBT requests go to this shared
      *    worker pool instead of a private one (multi-tenant hosting);
-     *  - services.warmRepo: warm-start from this pre-parsed shared
-     *    repository instead of re-reading warmStartLoadPath.
+     *  - services.imageEndpoint: the warm-start source. Its current
+     *    generation is acquired once, here, and installed before the
+     *    first dispatched instruction; the Vmm holds that handle for
+     *    its whole life, because installed translations are views
+     *    into the image.
      *
      * Default-constructed services preserve the classic one-process,
      * one-context behavior exactly.
@@ -104,18 +107,18 @@ class Vmm
 
     /**
      * Capture the live translations, hot counts and branch profile as
-     * an in-memory warm-start repository, hottest-first. A fleet
-     * server primes one context, captures it, and hands the result to
-     * every later context through SharedServices::warmRepo.
+     * a built warm-start image, hottest-first; the config's
+     * warmImageBudgetBytes evicts the cold tail. A fleet host primes
+     * one context per class, captures it, and serves the (merged)
+     * image to every later context through an ImageEndpoint.
      */
-    dbt::Repository captureWarmStart() const;
+    dbt::TransImage captureWarmStart() const;
 
     /**
-     * Save the live translations and branch profile as a warm-start
-     * repository (dbt/persist format). Uses
-     * config().warmStartSavePath when path is empty. @return success.
+     * Save the captured warm-start image to path (atomic replace).
+     * @return success.
      */
-    bool saveWarmStart(const std::string &path = "") const;
+    bool saveWarmStart(const std::string &path) const;
 
     /** The hotspot detector's BBB (an idle unit when not used). */
     const hwassist::BranchBehaviorBuffer &bbb() const;
@@ -196,6 +199,8 @@ class Vmm
 
   private:
     x86::Exit runLoop(x86::CpuState &cpu, InstCount max_insns);
+    /** Serialize captureWarmStart()'s image (staged as views). */
+    std::vector<u8> buildWarmImage() const;
     /** Flight-recorder dump on Trap/DecodeFault exits. */
     void dumpFlightOnAbnormal(x86::Exit e) const;
     void invokeSbt(Addr seed_pc);
@@ -207,8 +212,12 @@ class Vmm
 
     x86::Memory &mem;
     VmmConfig cfg;
-    /** Process-shared services (keeps the warm repo handle alive). */
-    engine::SharedServices svc;
+    /**
+     * The warm-start generation acquired from the image endpoint
+     * (null: booted cold). Declared before the code caches so it
+     * outlives every translation that views into it.
+     */
+    std::shared_ptr<const dbt::TransImage> warmImage;
     VmmStats st;
 
     engine::EventStream events;

@@ -47,8 +47,11 @@ runToTarget(vmm::Vmm &vm, const workload::Program &prog, u64 target)
 {
     x86::CpuState cpu = prog.initialState();
     for (;;) {
+        // Past the target, keep granting budget until the HLT:
+        // run(cpu, 0) would retire nothing.
+        const u64 done = vm.stats().totalRetired();
         const x86::Exit e =
-            vm.run(cpu, target - vm.stats().totalRetired());
+            vm.run(cpu, done < target ? target - done : target);
         if (e == x86::Exit::Halted) {
             if (vm.stats().totalRetired() >= target)
                 return cpu;
@@ -57,6 +60,36 @@ runToTarget(vmm::Vmm &vm, const workload::Program &prog, u64 target)
             EXPECT_EQ(e, x86::Exit::None);
         }
     }
+}
+
+/**
+ * Prime one image per workload class, past the target so the hot set
+ * is optimized, and pin their merge in an in-process store: the
+ * fleet's one warm-start source.
+ */
+std::shared_ptr<dbt::ImageStore>
+primedImageStore(const fleet::FleetConfig &cfg)
+{
+    const engine::EngineConfig tcfg =
+        fleet::tenantEngineConfig(cfg.engineCfg);
+    std::vector<dbt::TransImage> parts;
+    for (unsigned w = 0; w < cfg.workloads; ++w) {
+        workload::ProgramParams p = cfg.workloadParams;
+        p.seed = fleet::deriveSeed(cfg.fleetSeed, w);
+        workload::Program prog = workload::generateProgram(p);
+        x86::Memory mem;
+        prog.loadInto(mem);
+        vmm::Vmm vm(mem, tcfg);
+        runToTarget(vm, prog, 2 * cfg.targetInsns);
+        parts.push_back(vm.captureWarmStart());
+    }
+    dbt::ImageBuilder b;
+    for (const dbt::TransImage &part : parts)
+        b.add(part);
+    auto img = std::make_shared<dbt::TransImage>();
+    EXPECT_EQ(dbt::TransImage::adopt(b.build(), *img),
+              dbt::LoadError::None);
+    return std::make_shared<dbt::ImageStore>(img);
 }
 
 // --- crash-hook registry -------------------------------------------
@@ -472,22 +505,7 @@ TEST(Fleet, WarmBeatsColdP99)
     EXPECT_EQ(cr.completed, cfg.contexts);
     EXPECT_EQ(cr.reachedMilestone, cfg.contexts);
 
-    // Prime one repository per workload class, past the target so
-    // the hot set is optimized.
-    const engine::EngineConfig tcfg =
-        fleet::tenantEngineConfig(cfg.engineCfg);
-    for (unsigned w = 0; w < cfg.workloads; ++w) {
-        workload::ProgramParams p = cfg.workloadParams;
-        p.seed = fleet::deriveSeed(cfg.fleetSeed, w);
-        workload::Program prog = workload::generateProgram(p);
-        x86::Memory mem;
-        prog.loadInto(mem);
-        vmm::Vmm vm(mem, tcfg);
-        runToTarget(vm, prog, 2 * cfg.targetInsns);
-        cfg.warmRepos.push_back(
-            std::make_shared<const dbt::Repository>(
-                vm.captureWarmStart()));
-    }
+    cfg.imageEndpoint = primedImageStore(cfg);
 
     fleet::FleetServer warm(cfg);
     const fleet::FleetResult wr = warm.run();
@@ -498,6 +516,33 @@ TEST(Fleet, WarmBeatsColdP99)
     // The tentpole gate, in miniature: warm p99 strictly faster.
     EXPECT_GT(wr.p99TimeToMilestone, 0.0);
     EXPECT_LT(wr.p99TimeToMilestone, cr.p99TimeToMilestone);
+}
+
+TEST(Fleet, EndpointBoundFleetExportsImageStats)
+{
+    // A fleet bound to an image store reports the image it serves.
+    fleet::FleetConfig cfg;
+    cfg.contexts = 2;
+    cfg.workloads = 2;
+    cfg.targetInsns = 50'000;
+    cfg.milestoneInsns = 50'000;
+    cfg.workloadParams = smallShape(0);
+    const std::shared_ptr<dbt::ImageStore> store = primedImageStore(cfg);
+    cfg.imageEndpoint = store;
+
+    fleet::FleetServer server(cfg);
+    const fleet::FleetResult r = server.run();
+    EXPECT_EQ(r.completed, cfg.contexts);
+
+    StatRegistry reg;
+    server.exportStats(reg);
+    const std::shared_ptr<const dbt::TransImage> img = store->acquire();
+    EXPECT_GT(reg.value("fleet.warm.image.bytes"), 0.0);
+    EXPECT_DOUBLE_EQ(reg.value("fleet.warm.image.bytes"),
+                     static_cast<double>(img->sizeBytes()));
+    EXPECT_DOUBLE_EQ(reg.value("fleet.warm.image.records"),
+                     static_cast<double>(img->recordCount()));
+    EXPECT_GT(reg.value("fleet.warm.installed_total"), 0.0);
 }
 
 TEST(Fleet, SharedPoolFleetCompletes)

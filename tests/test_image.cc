@@ -1,28 +1,28 @@
 /**
  * @file
- * The zero-copy translation image (dbt/image) and its warm-start,
- * sharing and migration paths.
+ * The zero-copy translation image (dbt/image): capture, format,
+ * warm-start and sharing paths.
  *
- * Format robustness: a built image round-trips to an equal repository;
- * truncation at any point (including every section boundary) and
- * arbitrary bit flips are rejected with a typed error -- never a
- * crash, never a parse -- and a corrupt file leaves the VM cleanly
- * cold.
+ * Format robustness: a captured image carries every field of the live
+ * translations it was built from; truncation at any point (including
+ * every section boundary), trailing bytes and arbitrary bit flips are
+ * rejected with a typed error -- never a crash, never a parse -- and
+ * a corrupt file leaves the VM cleanly cold.
  *
- * Zero-copy: a mapped-image install performs zero per-record body
- * copies (the acceptance stat), yet retires bit-identical state.
+ * Zero-copy: an image install binds views into the image, yet retires
+ * bit-identical state to a cold run.
  *
  * Sharing: one writer appending generations races N reader contexts
- * installing from the same store; compaction publishes never
- * invalidate a held generation; a 256-context fleet booting from one
- * shared image retires identically to per-context private loads.
+ * installing from the same store; publishes never invalidate a held
+ * generation; a 256-context fleet booting from one shared image
+ * retires identically to per-context private loads.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,15 +30,10 @@
 #include <gtest/gtest.h>
 
 #include "dbt/image.hh"
-#include "dbt/persist.hh"
 #include "engine/cache_mgr.hh"
 #include "engine/warm_start.hh"
 #include "fleet/fleet.hh"
 #include "helpers.hh"
-
-#ifndef CDVM_TEST_SRC_DIR
-#define CDVM_TEST_SRC_DIR "."
-#endif
 
 namespace cdvm
 {
@@ -47,7 +42,6 @@ namespace
 
 using test::RunResult;
 using test::runInterp;
-using test::runVmm;
 using test::sameOutcome;
 
 vmm::VmmConfig
@@ -72,24 +66,38 @@ tempPath(const char *name)
     return ::testing::TempDir() + name;
 }
 
-/** Run a program cold and capture its translation map. */
-dbt::Repository
-capturedRepo(const workload::Program &prog, x86::Memory &mem)
+/** A Vmm that ran a program to its first halt, kept alive so tests
+ *  can compare its live translations with what it captured. */
+struct Primed
 {
-    prog.loadInto(mem);
-    x86::CpuState cpu = prog.initialState();
-    vmm::Vmm vm(mem, cfgSoft());
-    vm.run(cpu, 10'000'000);
-    return dbt::capture(vm.translations(), mem);
+    x86::Memory mem;
+    std::unique_ptr<vmm::Vmm> vm;
+    RunResult run;
+
+    Primed(const workload::Program &prog, const vmm::VmmConfig &cfg)
+    {
+        prog.loadInto(mem);
+        vm = std::make_unique<vmm::Vmm>(mem, cfg);
+        run.cpu = prog.initialState();
+        run.exit = vm->run(run.cpu, 10'000'000);
+        run.retired = run.cpu.icount;
+    }
+};
+
+/** Run a program cold and capture its warm-start image. */
+dbt::TransImage
+capturedImage(const workload::Program &prog,
+              const vmm::VmmConfig &cfg = cfgSoft())
+{
+    return Primed(prog, cfg).vm->captureWarmStart();
 }
 
-/** Build an image blob from one repository. */
+/** An image's bytes as an owned blob (to truncate, flip or save). */
 std::vector<u8>
-builtImage(const dbt::Repository &repo, u64 budget = 0)
+blobOf(const dbt::TransImage &img)
 {
-    dbt::ImageBuilder b(dbt::ImageBuilder::Options{budget, 1});
-    b.add(repo);
-    return b.build();
+    const std::span<const u8> b = img.bytes();
+    return {b.begin(), b.end()};
 }
 
 /** Adopt a blob, asserting success. */
@@ -99,6 +107,34 @@ adopted(std::span<const u8> bytes)
     dbt::TransImage img;
     EXPECT_EQ(dbt::TransImage::adopt(bytes, img), dbt::LoadError::None);
     return img;
+}
+
+/** An endpoint pinned to one loaded image file. */
+std::shared_ptr<dbt::ImageEndpoint>
+pinnedFile(const std::string &path)
+{
+    auto img = std::make_shared<dbt::TransImage>();
+    EXPECT_EQ(dbt::TransImage::load(path, *img), dbt::LoadError::None);
+    return std::make_shared<dbt::ImageStore>(img);
+}
+
+/** runVmm with a warm-start source bound. */
+RunResult
+runWarm(const workload::Program &prog, x86::Memory &mem,
+        const vmm::VmmConfig &cfg,
+        std::shared_ptr<dbt::ImageEndpoint> endpoint,
+        vmm::VmmStats *stats_out)
+{
+    engine::SharedServices svc;
+    svc.imageEndpoint = std::move(endpoint);
+    prog.loadInto(mem);
+    RunResult r;
+    r.cpu = prog.initialState();
+    vmm::Vmm vm(mem, cfg, svc);
+    r.exit = vm.run(r.cpu, 10'000'000);
+    r.retired = r.cpu.icount;
+    *stats_out = vm.stats();
+    return r;
 }
 
 /** Run a plain Vmm on prog until >= target retired at a HLT (the
@@ -140,101 +176,141 @@ struct InstallTarget
     }
 };
 
+/** Field-by-field Uop equality, the precise-state tag included. */
+bool
+sameUop(const uops::Uop &a, const uops::Uop &b)
+{
+    return a.op == b.op && a.dst == b.dst && a.src1 == b.src1 &&
+           a.src2 == b.src2 && a.size == b.size && a.scale == b.scale &&
+           a.cond == b.cond && a.hasImm == b.hasImm && a.imm == b.imm &&
+           a.writeFlags == b.writeFlags &&
+           a.fusedHead == b.fusedHead && a.target == b.target &&
+           a.x86pc == b.x86pc;
+}
+
 // ---------------------------------------------------------------------
 // Format: round trip, header sanity
 // ---------------------------------------------------------------------
 
 TEST(Image, RoundTripFieldEquality)
 {
-    x86::Memory mem;
-    dbt::Repository repo = capturedRepo(testProgram(), mem);
-    ASSERT_FALSE(repo.entries.empty());
-    ASSERT_FALSE(repo.pageHashes.empty());
+    // Every record of a captured image carries its live translation's
+    // fields, chains and body exactly -- under each cold tier, whose
+    // translators set codeBytes independently of the image.
+    for (const char *name : {"vm.soft", "vm.soft.tmpl", "vm.be"}) {
+        SCOPED_TRACE(name);
+        vmm::VmmConfig cfg = *engine::EngineConfig::byName(name);
+        cfg.hotThreshold = 30;
+        Primed p(testProgram(), cfg);
+        const std::vector<u8> blob = blobOf(p.vm->captureWarmStart());
+        dbt::TransImage img = adopted(blob);
+        dbt::TranslationMap &map = p.vm->translations();
 
-    const std::vector<u8> blob = builtImage(repo);
-    dbt::TransImage img = adopted(blob);
-    ASSERT_EQ(img.recordCount(), repo.entries.size());
+        std::size_t live = 0;
+        map.forEach([&live](const dbt::Translation &) { ++live; });
+        ASSERT_GT(img.recordCount(), 0u);
+        ASSERT_EQ(img.recordCount(), live);
+        ASSERT_FALSE(img.pageHashes().empty());
 
-    const dbt::Repository back = img.toRepository();
-    ASSERT_EQ(back.entries.size(), repo.entries.size());
-    for (std::size_t i = 0; i < repo.entries.size(); ++i) {
-        const dbt::SavedTranslation &a = repo.entries[i];
-        const dbt::SavedTranslation &b = back.entries[i];
-        EXPECT_EQ(b.kind, a.kind) << i;
-        EXPECT_EQ(b.entryPc, a.entryPc) << i;
-        EXPECT_EQ(b.numX86Insns, a.numX86Insns) << i;
-        EXPECT_EQ(b.x86Bytes, a.x86Bytes) << i;
-        EXPECT_EQ(b.fallthroughPc, a.fallthroughPc) << i;
-        EXPECT_EQ(b.containsComplex, a.containsComplex) << i;
-        EXPECT_EQ(b.endsInCti, a.endsInCti) << i;
-        EXPECT_EQ(b.endsInCondBranch, a.endsInCondBranch) << i;
-        EXPECT_EQ(static_cast<int>(b.provenance),
-                  static_cast<int>(a.provenance))
-            << i;
-        EXPECT_EQ(b.condBranchTarget, a.condBranchTarget) << i;
-        EXPECT_EQ(b.condBranchPc, a.condBranchPc) << i;
-        EXPECT_EQ(b.execCount, a.execCount) << i;
-        EXPECT_EQ(b.takenCount, a.takenCount) << i;
-        EXPECT_EQ(b.notTakenCount, a.notTakenCount) << i;
-        for (unsigned c = 0; c < 2; ++c) {
-            EXPECT_EQ(b.chains[c].targetPc, a.chains[c].targetPc) << i;
-            EXPECT_EQ(b.chains[c].record, a.chains[c].record) << i;
+        for (std::size_t i = 0; i < img.recordCount(); ++i) {
+            const dbt::TransImage::RecordView v = img.record(i);
+            const dbt::ImageRecordHeader &h = *v.hdr;
+            const dbt::Translation *t = map.lookup(
+                h.entryPc, static_cast<dbt::TransKind>(h.kind));
+            ASSERT_NE(t, nullptr) << i;
+            EXPECT_EQ(h.numX86Insns, t->numX86Insns) << i;
+            EXPECT_EQ(h.x86Bytes, t->x86Bytes) << i;
+            EXPECT_EQ(h.fallthroughPc, t->fallthroughPc) << i;
+            EXPECT_EQ(bool(h.flags & dbt::IMG_F_COMPLEX),
+                      t->containsComplex)
+                << i;
+            EXPECT_EQ(bool(h.flags & dbt::IMG_F_ENDS_CTI), t->endsInCti)
+                << i;
+            EXPECT_EQ(bool(h.flags & dbt::IMG_F_ENDS_COND),
+                      t->endsInCondBranch)
+                << i;
+            EXPECT_EQ((h.flags & dbt::IMG_F_PROV_MASK) >>
+                          dbt::IMG_F_PROV_SHIFT,
+                      static_cast<unsigned>(t->provenance))
+                << i;
+            EXPECT_EQ(h.condBranchTarget, t->condBranchTarget) << i;
+            EXPECT_EQ(h.condBranchPc, t->condBranchPc) << i;
+            EXPECT_EQ(h.execCount, t->execCount) << i;
+            EXPECT_EQ(h.takenCount, t->takenCount) << i;
+            EXPECT_EQ(h.notTakenCount, t->notTakenCount) << i;
+            EXPECT_EQ(h.codeBytes, t->codeBytes) << i;
+            // The image trusts the translator's arena size: it must be
+            // the encoded size of the body it carries.
+            EXPECT_EQ(h.codeBytes, uops::encodedBytes(v.uops)) << i;
+
+            const std::span<const Addr> pcs = t->pcSpan();
+            EXPECT_TRUE(std::equal(v.x86pcs.begin(), v.x86pcs.end(),
+                                   pcs.begin(), pcs.end()))
+                << i;
+            const std::span<const uops::Uop> code = t->code();
+            ASSERT_EQ(v.uops.size(), code.size()) << i;
+            for (std::size_t u = 0; u < code.size(); ++u)
+                EXPECT_TRUE(sameUop(v.uops[u], code[u]))
+                    << i << " uop " << u;
+
+            // Chains point at the record of the live successor.
+            for (unsigned c = 0; c < 2; ++c) {
+                const dbt::Translation *to = map.resolve(t->chains[c].to);
+                if (!to) {
+                    EXPECT_EQ(h.chainRecord[c], dbt::NO_RECORD) << i;
+                    continue;
+                }
+                ASSERT_LT(h.chainRecord[c], img.recordCount()) << i;
+                const dbt::ImageRecordHeader &th =
+                    *img.record(h.chainRecord[c]).hdr;
+                EXPECT_EQ(th.entryPc, to->entryPc) << i;
+                EXPECT_EQ(th.kind, to->kind == dbt::TransKind::Superblock)
+                    << i;
+                EXPECT_EQ(h.chainTargetPc[c], t->chains[c].targetPc) << i;
+            }
         }
-        EXPECT_EQ(b.x86pcs, a.x86pcs) << i;
-        EXPECT_EQ(b.uopPcs, a.uopPcs) << i;
-        EXPECT_EQ(b.body, a.body) << i;
+
+        // Adopting the same bytes twice yields the same image.
+        dbt::TransImage img2 = adopted(blob);
+        EXPECT_EQ(img2.recordCount(), img.recordCount());
+        EXPECT_EQ(img2.header().checksum, img.header().checksum);
     }
-
-    // The page index survives (both sides sorted by page).
-    std::vector<std::pair<Addr, u64>> want = repo.pageHashes;
-    std::sort(want.begin(), want.end());
-    ASSERT_EQ(back.pageHashes.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(back.pageHashes[i], want[i]) << i;
-
-    // Adopting the same bytes twice yields the same image.
-    dbt::TransImage img2 = adopted(blob);
-    EXPECT_EQ(img2.recordCount(), img.recordCount());
-    EXPECT_EQ(img2.header().checksum, img.header().checksum);
 }
 
 TEST(Image, BranchProfileRoundTrip)
 {
+    // The captured profile seeds a warm boot with the biases the cold
+    // run observed.
     workload::Program prog = testProgram();
-    x86::Memory mem;
-    prog.loadInto(mem);
-    x86::CpuState cpu = prog.initialState();
-    vmm::Vmm vm(mem, cfgSoft());
-    vm.run(cpu, 10'000'000);
-    const dbt::Repository repo = vm.captureWarmStart();
-    ASSERT_FALSE(repo.branchProfile.empty());
+    Primed p(prog, cfgSoft());
+    dbt::TransImage img = p.vm->captureWarmStart();
+    ASSERT_FALSE(img.branchProfile().empty());
 
-    dbt::TransImage img = adopted(builtImage(repo));
-    ASSERT_EQ(img.branchProfile().size(), repo.branchProfile.size());
-
-    std::vector<dbt::SavedBranchStat> want = repo.branchProfile;
-    std::sort(want.begin(), want.end(),
-              [](const auto &a, const auto &b) { return a.pc < b.pc; });
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(img.branchProfile()[i].pc, want[i].pc) << i;
-        EXPECT_EQ(img.branchProfile()[i].taken, want[i].taken) << i;
-        EXPECT_EQ(img.branchProfile()[i].notTaken, want[i].notTaken)
-            << i;
+    InstallTarget t(prog);
+    engine::warmStartInstall(img, t.mem, t.ccm, t.prof);
+    for (std::size_t i = 0; i < img.branchProfile().size(); ++i) {
+        const dbt::ImageBranchStat &b = img.branchProfile()[i];
+        if (i > 0) {
+            EXPECT_LT(img.branchProfile()[i - 1].pc, b.pc) << i;
+        }
+        const std::optional<double> want = p.vm->branchBias(b.pc);
+        const std::optional<double> got = t.prof.bias(b.pc);
+        ASSERT_EQ(got.has_value(), want.has_value()) << i;
+        if (want) {
+            EXPECT_DOUBLE_EQ(*got, *want) << i;
+        }
     }
 }
 
 TEST(Image, HeaderAndSectionSanity)
 {
-    x86::Memory mem;
-    const std::vector<u8> blob =
-        builtImage(capturedRepo(testProgram(), mem));
-    dbt::TransImage img = adopted(blob);
+    dbt::TransImage img = capturedImage(testProgram());
 
     const dbt::ImageHeader &h = img.header();
     EXPECT_EQ(h.magic, dbt::IMAGE_MAGIC);
     EXPECT_EQ(h.version, dbt::IMAGE_VERSION);
     EXPECT_EQ(h.sectionCount, dbt::IMAGE_NUM_SECTIONS);
-    EXPECT_EQ(h.totalBytes, blob.size());
+    EXPECT_EQ(h.totalBytes, img.sizeBytes());
     EXPECT_EQ(h.generation, 1u);
     EXPECT_EQ(h.dedupeHits, 0u);
     EXPECT_EQ(h.evicted, 0u);
@@ -261,14 +337,12 @@ TEST(Image, HeaderAndSectionSanity)
 }
 
 // ---------------------------------------------------------------------
-// Rejection: truncation and bit flips, always typed, never UB
+// Rejection: truncation, trailing bytes and bit flips, always typed
 // ---------------------------------------------------------------------
 
 TEST(Image, TruncationSweepTyped)
 {
-    x86::Memory mem;
-    const std::vector<u8> blob =
-        builtImage(capturedRepo(testProgram(), mem));
+    const std::vector<u8> blob = blobOf(capturedImage(testProgram()));
     dbt::TransImage whole = adopted(blob);
 
     // Every section boundary exactly, plus a sweep over the body.
@@ -290,21 +364,27 @@ TEST(Image, TruncationSweepTyped)
             std::span<const u8>(blob.data(), len), out);
         EXPECT_EQ(err, dbt::LoadError::Truncated) << "len=" << len;
     }
+}
 
-    // Trailing garbage after totalBytes is rejected too (adopt takes
-    // exactly one image; only files may carry delta segments).
-    std::vector<u8> padded = blob;
+TEST(Image, TrailingBytesRejected)
+{
+    // An image source holds exactly one image: bytes after totalBytes
+    // are Corrupt, whether adopted or loaded from a file.
+    std::vector<u8> padded = blobOf(capturedImage(testProgram()));
     padded.resize(padded.size() + 64, 0xAB);
     dbt::TransImage out;
     EXPECT_EQ(dbt::TransImage::adopt(padded, out),
               dbt::LoadError::Corrupt);
+
+    const std::string path = tempPath("image_trailing.cdvmimg");
+    ASSERT_TRUE(dbt::TransImage::save(path, padded));
+    EXPECT_EQ(dbt::TransImage::load(path, out), dbt::LoadError::Corrupt);
+    std::remove(path.c_str());
 }
 
 TEST(Image, BitFlipSweepTyped)
 {
-    x86::Memory mem;
-    const std::vector<u8> blob =
-        builtImage(capturedRepo(testProgram(), mem));
+    const std::vector<u8> blob = blobOf(capturedImage(testProgram()));
 
     const std::size_t step = std::max<std::size_t>(1, blob.size() / 61);
     for (std::size_t pos = 0; pos < blob.size(); pos += step) {
@@ -326,28 +406,39 @@ TEST(Image, BitFlipSweepTyped)
     }
 }
 
+TEST(Image, FutureVersionsRejected)
+{
+    std::vector<u8> blob = blobOf(capturedImage(testProgram()));
+    blob[8] = 0x7F; // ImageHeader::version low byte
+    dbt::TransImage out;
+    EXPECT_EQ(dbt::TransImage::adopt(blob, out),
+              dbt::LoadError::BadVersion);
+}
+
 TEST(Image, CorruptFileFallsBackCold)
 {
     workload::Program prog = testProgram();
-    x86::Memory pmem;
-    std::vector<u8> blob = builtImage(capturedRepo(prog, pmem));
+    std::vector<u8> blob = blobOf(capturedImage(prog));
 
-    // Flip one byte deep in the record section and write it out.
+    // Flip one byte deep in the record section and write it out: the
+    // load is refused with a typed error, so nothing gets bound.
     blob[blob.size() / 2] ^= 0x01;
     const std::string path = tempPath("image_corrupt.cdvmimg");
     ASSERT_TRUE(dbt::TransImage::save(path, blob));
+    dbt::TransImage img;
+    EXPECT_EQ(dbt::TransImage::load(path, img), dbt::LoadError::Corrupt);
+    std::remove(path.c_str());
 
-    vmm::VmmConfig cfg = cfgSoft();
-    cfg.warmStartLoadPath = path;
+    // A VM whose source has nothing to offer boots cleanly cold.
     x86::Memory mem, ref_mem;
     vmm::VmmStats st;
-    const RunResult got = runVmm(prog, mem, cfg, &st);
+    const RunResult got = runWarm(
+        prog, mem, cfgSoft(), std::make_shared<dbt::ImageStore>(), &st);
     const RunResult ref = runInterp(prog, ref_mem);
     EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
     EXPECT_EQ(st.warmLoaded, 0u);
     EXPECT_EQ(st.warmInstalled, 0u);
     EXPECT_EQ(st.warmMappedBytes, 0u);
-    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -358,18 +449,15 @@ TEST(Image, StalePageHashInvalidation)
 {
     // Capture program A, then boot program B (different code at the
     // same addresses): every mismatching record silently cold-falls.
-    workload::Program progA = testProgram(7);
-    x86::Memory memA;
-    const std::vector<u8> blob = builtImage(capturedRepo(progA, memA));
     const std::string path = tempPath("image_stale.cdvmimg");
-    ASSERT_TRUE(dbt::TransImage::save(path, blob));
+    ASSERT_TRUE(dbt::TransImage::save(
+        path, capturedImage(testProgram(7)).bytes()));
 
     workload::Program progB = testProgram(8);
-    vmm::VmmConfig cfg = cfgSoft();
-    cfg.warmStartLoadPath = path;
     x86::Memory mem, ref_mem;
     vmm::VmmStats st;
-    const RunResult got = runVmm(progB, mem, cfg, &st);
+    const RunResult got =
+        runWarm(progB, mem, cfgSoft(), pinnedFile(path), &st);
     const RunResult ref = runInterp(progB, ref_mem);
     EXPECT_TRUE(sameOutcome(progB, ref, ref_mem, got, mem));
 
@@ -385,21 +473,20 @@ TEST(Image, DedupeAcrossContexts)
     // Two contexts booting the same guest image capture identical
     // translations; the builder keeps one physical record per content.
     workload::Program prog = testProgram(11);
-    x86::Memory m1, m2;
-    const dbt::Repository r1 = capturedRepo(prog, m1);
-    const dbt::Repository r2 = capturedRepo(prog, m2);
-    ASSERT_FALSE(r1.entries.empty());
-    ASSERT_EQ(r1.entries.size(), r2.entries.size());
+    const dbt::TransImage i1 = capturedImage(prog);
+    const dbt::TransImage i2 = capturedImage(prog);
+    ASSERT_GT(i1.recordCount(), 0u);
+    ASSERT_EQ(i1.recordCount(), i2.recordCount());
 
     dbt::ImageBuilder b;
-    b.add(r1);
-    b.add(r2);
-    EXPECT_EQ(b.dedupeHits(), r2.entries.size());
+    b.add(i1);
+    b.add(i2);
+    EXPECT_EQ(b.dedupeHits(), i2.recordCount());
     const std::vector<u8> blob = b.build();
 
     dbt::TransImage img = adopted(blob);
-    EXPECT_EQ(img.recordCount(), r1.entries.size());
-    EXPECT_EQ(img.header().dedupeHits, r2.entries.size());
+    EXPECT_EQ(img.recordCount(), i1.recordCount());
+    EXPECT_EQ(img.header().dedupeHits, i2.recordCount());
 
     // Both contexts install the full set from the shared record.
     InstallTarget t1(prog), t2(prog);
@@ -420,15 +507,14 @@ TEST(Image, MergedImageKeepsConflictingClassesApart)
     // only in the matching context (per-record content addresses).
     workload::Program progA = testProgram(7);
     workload::Program progB = testProgram(8);
-    x86::Memory mA, mB;
-    const dbt::Repository rA = capturedRepo(progA, mA);
-    const dbt::Repository rB = capturedRepo(progB, mB);
+    const dbt::TransImage iA = capturedImage(progA);
+    const dbt::TransImage iB = capturedImage(progB);
 
     dbt::ImageBuilder b;
-    b.add(rA);
-    b.add(rB);
+    b.add(iA);
+    b.add(iB);
     dbt::TransImage img = adopted(b.build());
-    ASSERT_GT(img.recordCount(), rA.entries.size());
+    ASSERT_GT(img.recordCount(), iA.recordCount());
 
     InstallTarget tA(progA), tB(progB);
     const engine::WarmStartReport repA =
@@ -440,41 +526,30 @@ TEST(Image, MergedImageKeepsConflictingClassesApart)
     // each context accepts at least its own class's captures.
     EXPECT_EQ(repA.installed + repA.invalidated, img.recordCount());
     EXPECT_EQ(repB.installed + repB.invalidated, img.recordCount());
-    EXPECT_GE(repA.installed, rA.entries.size());
+    EXPECT_GE(repA.installed, iA.recordCount());
     EXPECT_GT(repA.invalidated, 0u);
-    EXPECT_GE(repB.installed, rB.entries.size());
+    EXPECT_GE(repB.installed, iB.recordCount());
     EXPECT_GT(repB.invalidated, 0u);
 }
 
 // ---------------------------------------------------------------------
-// Zero-copy: the acceptance stat and bit-identical warm runs
+// Zero-copy: views into the image and bit-identical warm runs
 // ---------------------------------------------------------------------
 
 TEST(Image, ZeroCopyInstallStats)
 {
     workload::Program prog = testProgram();
-    x86::Memory pmem;
-    const dbt::Repository repo = capturedRepo(prog, pmem);
-    dbt::TransImage img = adopted(builtImage(repo));
+    dbt::TransImage img = capturedImage(prog);
 
-    // Legacy v1 path: one decode + copy per install.
-    InstallTarget legacy(prog);
-    const engine::WarmStartReport lr = engine::warmStartInstall(
-        repo, legacy.mem, legacy.ccm, legacy.prof);
-    ASSERT_GT(lr.installed, 0u);
-    EXPECT_EQ(lr.bodyCopies, lr.installed);
-    EXPECT_EQ(lr.mappedBytes, 0u);
-
-    // Mapped path: zero per-record body copies, same acceptance.
     InstallTarget mapped(prog);
     const engine::WarmStartReport mr = engine::warmStartInstall(
         img, mapped.mem, mapped.ccm, mapped.prof);
-    EXPECT_EQ(mr.bodyCopies, 0u);
-    EXPECT_EQ(mr.installed, lr.installed);
-    EXPECT_EQ(mr.installedInsns, lr.installedInsns);
-    EXPECT_EQ(mr.invalidated, lr.invalidated);
+    EXPECT_EQ(mr.loaded, img.recordCount());
+    EXPECT_EQ(mr.installed, img.recordCount());
+    EXPECT_EQ(mr.invalidated, 0u);
+    EXPECT_GT(mr.installedInsns, 0u);
     EXPECT_EQ(mr.mappedBytes, img.sizeBytes());
-    EXPECT_EQ(mr.relocations, lr.relocations);
+    EXPECT_EQ(mr.relocations, img.relocs().size());
 
     // Installed translations really are views into the image.
     for (std::size_t i = 0; i < img.recordCount(); ++i) {
@@ -494,40 +569,31 @@ TEST(Image, WarmRunBitIdenticalToCold)
     workload::Program prog = testProgram(21);
     const std::string path = tempPath("image_warm.cdvmimg");
 
-    // Cold run; save the v2 image through the engine's own save path.
-    x86::Memory cold_mem;
-    prog.loadInto(cold_mem);
-    RunResult cold;
-    cold.cpu = prog.initialState();
-    {
-        vmm::Vmm vm(cold_mem, cfgSoft());
-        cold.exit = vm.run(cold.cpu, 10'000'000);
-        cold.retired = cold.cpu.icount;
-        ASSERT_TRUE(vm.saveWarmStart(path));
-    }
-
-    // The file really is a v2 zero-copy image, not a v1 repository.
-    {
-        dbt::TransImage img;
-        ASSERT_EQ(dbt::TransImage::load(path, img),
-                  dbt::LoadError::None);
-        EXPECT_FALSE(img.migratedFromV1());
-        EXPECT_GT(img.recordCount(), 0u);
-    }
+    // Cold run; save the image through the engine's own save path.
+    vmm::VmmStats cold_st;
+    Primed cold(prog, cfgSoft());
+    cold_st = cold.vm->stats();
+    ASSERT_TRUE(cold.vm->saveWarmStart(path));
 
     // Warm run maps the image: zero body copies, identical retire.
-    vmm::VmmConfig warm_cfg = cfgSoft();
-    warm_cfg.warmStartLoadPath = path;
-    x86::Memory warm_mem;
+    x86::Memory warm_mem, ref_mem;
     vmm::VmmStats warm_st;
-    const RunResult warm = runVmm(prog, warm_mem, warm_cfg, &warm_st);
+    const RunResult warm =
+        runWarm(prog, warm_mem, cfgSoft(), pinnedFile(path), &warm_st);
+    const RunResult ref = runInterp(prog, ref_mem);
 
-    EXPECT_TRUE(sameOutcome(prog, cold, cold_mem, warm, warm_mem));
-    EXPECT_EQ(warm.retired, cold.retired);
+    EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, warm, warm_mem));
+    EXPECT_TRUE(sameOutcome(prog, cold.run, cold.mem, warm, warm_mem));
+    EXPECT_EQ(warm.retired, cold.run.retired);
     EXPECT_GT(warm_st.warmInstalled, 0u);
+    EXPECT_EQ(warm_st.warmInstalled, warm_st.warmLoaded);
+    EXPECT_EQ(warm_st.warmInvalidated, 0u);
     EXPECT_EQ(warm_st.warmBodyCopies, 0u);
     EXPECT_GT(warm_st.warmMappedBytes, 0u);
     EXPECT_GT(warm_st.warmRelocations, 0u);
+    // And it saved translation work: the warm run re-translates
+    // strictly fewer basic blocks than the cold run did.
+    EXPECT_LT(warm_st.bbtTranslations, cold_st.bbtTranslations);
     std::remove(path.c_str());
 }
 
@@ -539,47 +605,33 @@ TEST(Image, TemplateProvenanceRoundTrip)
     vmm::VmmConfig cfg = engine::EngineConfig::vmSoftTmpl();
     cfg.hotThreshold = 30;
 
-    // Cold run under the template tier; the captured repository and
-    // the image byte format both remember the producing tier.
-    x86::Memory cold_mem;
-    prog.loadInto(cold_mem);
-    RunResult cold;
-    cold.cpu = prog.initialState();
+    // Cold run under the template tier; the captured image remembers
+    // the producing tier.
+    Primed cold(prog, cfg);
     {
-        vmm::Vmm vm(cold_mem, cfg);
-        cold.exit = vm.run(cold.cpu, 10'000'000);
-        cold.retired = cold.cpu.icount;
-
-        const dbt::Repository repo = vm.captureWarmStart();
-        ASSERT_FALSE(repo.entries.empty());
+        const dbt::TransImage img = cold.vm->captureWarmStart();
         std::size_t tmpl = 0, sbt = 0;
-        for (const auto &e : repo.entries) {
-            tmpl += e.provenance == dbt::TransProvenance::TmplBbt;
-            sbt += e.provenance == dbt::TransProvenance::Sbt;
+        for (std::size_t i = 0; i < img.recordCount(); ++i) {
+            const auto prov = static_cast<dbt::TransProvenance>(
+                (img.record(i).hdr->flags & dbt::IMG_F_PROV_MASK) >>
+                dbt::IMG_F_PROV_SHIFT);
+            tmpl += prov == dbt::TransProvenance::TmplBbt;
+            sbt += prov == dbt::TransProvenance::Sbt;
         }
         EXPECT_GT(tmpl, 0u) << "no template-built blocks captured";
         EXPECT_GT(sbt, 0u) << "no superblocks captured";
-
-        const dbt::Repository back =
-            adopted(builtImage(repo)).toRepository();
-        ASSERT_EQ(back.entries.size(), repo.entries.size());
-        for (std::size_t i = 0; i < repo.entries.size(); ++i)
-            EXPECT_EQ(static_cast<int>(back.entries[i].provenance),
-                      static_cast<int>(repo.entries[i].provenance))
-                << i;
-
-        ASSERT_TRUE(vm.saveWarmStart(path));
+        ASSERT_TRUE(cold.vm->saveWarmStart(path));
     }
 
     // Warm boot: the zero-copy install restores provenance, the run
     // needs no cold template translation, and retire is identical.
-    vmm::VmmConfig warm_cfg = cfg;
-    warm_cfg.warmStartLoadPath = path;
+    engine::SharedServices svc;
+    svc.imageEndpoint = pinnedFile(path);
     x86::Memory warm_mem;
     prog.loadInto(warm_mem);
     RunResult warm;
     warm.cpu = prog.initialState();
-    vmm::Vmm vm(warm_mem, warm_cfg);
+    vmm::Vmm vm(warm_mem, cfg, svc);
 
     std::size_t tmpl_installed = 0, installed = 0;
     vm.translations().forEach([&](const dbt::Translation &t) {
@@ -593,195 +645,40 @@ TEST(Image, TemplateProvenanceRoundTrip)
 
     warm.exit = vm.run(warm.cpu, 10'000'000);
     warm.retired = warm.cpu.icount;
-    EXPECT_TRUE(sameOutcome(prog, cold, cold_mem, warm, warm_mem));
-    EXPECT_EQ(warm.retired, cold.retired);
+    EXPECT_TRUE(sameOutcome(prog, cold.run, cold.mem, warm, warm_mem));
+    EXPECT_EQ(warm.retired, cold.run.retired);
     EXPECT_EQ(vm.stats().bbtTranslations, 0u)
         << "warm template boot fell back to cold translation";
     std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------
-// Migration: v1 files convert transparently, future versions reject
+// Eviction
 // ---------------------------------------------------------------------
-
-TEST(Image, MigratesV1FileTransparently)
-{
-    x86::Memory mem;
-    const dbt::Repository repo = capturedRepo(testProgram(), mem);
-    const std::string path = tempPath("image_v1.cdvm");
-    ASSERT_TRUE(dbt::saveFile(path, repo));
-
-    dbt::TransImage img;
-    ASSERT_EQ(dbt::TransImage::load(path, img), dbt::LoadError::None);
-    EXPECT_TRUE(img.migratedFromV1());
-    EXPECT_FALSE(img.isMapped());
-    EXPECT_EQ(img.recordCount(), repo.entries.size());
-
-    // Converted records still install against live memory.
-    workload::Program prog = testProgram();
-    InstallTarget t(prog);
-    const engine::WarmStartReport rep =
-        engine::warmStartInstall(img, t.mem, t.ccm, t.prof);
-    EXPECT_EQ(rep.installed, img.recordCount());
-    EXPECT_EQ(rep.bodyCopies, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(Image, GoldenV1FixtureMigrates)
-{
-    // A checked-in PR-5-era repository file; regenerate (after
-    // verifying the format change is intended) with:
-    //   CDVM_UPDATE_GOLDEN=1 ./test_image
-    const std::string path =
-        std::string(CDVM_TEST_SRC_DIR) + "/golden/repo_v1.cdvm";
-
-    if (std::getenv("CDVM_UPDATE_GOLDEN")) {
-        x86::Memory mem;
-        const dbt::Repository repo =
-            capturedRepo(testProgram(42), mem);
-        ASSERT_TRUE(dbt::saveFile(path, repo));
-        GTEST_SKIP() << "golden v1 fixture regenerated: " << path;
-    }
-
-    std::ifstream probe(path, std::ios::binary);
-    ASSERT_TRUE(probe.good())
-        << "missing golden file " << path
-        << " (regenerate with CDVM_UPDATE_GOLDEN=1)";
-
-    dbt::TransImage img;
-    ASSERT_EQ(dbt::TransImage::load(path, img), dbt::LoadError::None);
-    EXPECT_TRUE(img.migratedFromV1());
-    EXPECT_GT(img.recordCount(), 0u);
-
-    // The migrated image re-serializes into a valid v2 blob.
-    dbt::ImageBuilder b;
-    b.add(img);
-    dbt::TransImage v2 = adopted(b.build());
-    EXPECT_EQ(v2.recordCount(), img.recordCount());
-}
-
-TEST(Image, FutureVersionsRejected)
-{
-    x86::Memory mem;
-    const dbt::Repository repo = capturedRepo(testProgram(), mem);
-
-    // A v2 image from the future.
-    std::vector<u8> blob = builtImage(repo);
-    blob[8] = 0x7F; // ImageHeader::version low byte
-    dbt::TransImage out;
-    EXPECT_EQ(dbt::TransImage::adopt(blob, out),
-              dbt::LoadError::BadVersion);
-
-    // A v1 repository file from the future (version at offset 8 too).
-    const std::string path = tempPath("image_future_v1.cdvm");
-    ASSERT_TRUE(dbt::saveFile(path, repo));
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(8);
-        const char v = 0x7F;
-        f.write(&v, 1);
-    }
-    dbt::TransImage img;
-    EXPECT_EQ(dbt::TransImage::load(path, img),
-              dbt::LoadError::BadVersion);
-    std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Durability: delta segments, compaction, eviction
-// ---------------------------------------------------------------------
-
-TEST(Image, DeltaAppendAndCompaction)
-{
-    workload::Program progA = testProgram(7);
-    x86::Memory mA, mB;
-    const dbt::Repository rA = capturedRepo(progA, mA);
-    const dbt::Repository rB = capturedRepo(testProgram(31), mB);
-
-    const std::string path = tempPath("image_delta.cdvmimg");
-    ASSERT_TRUE(dbt::TransImage::save(path, builtImage(rA)));
-    ASSERT_TRUE(dbt::TransImage::appendDelta(path, rB));
-
-    // Loading merges base + delta and bumps the generation.
-    dbt::TransImage merged;
-    ASSERT_EQ(dbt::TransImage::load(path, merged),
-              dbt::LoadError::None);
-    EXPECT_EQ(merged.deltaSegments(), 1u);
-    EXPECT_FALSE(merged.isMapped()); // compacted in memory
-    EXPECT_EQ(merged.recordCount(),
-              rA.entries.size() + rB.entries.size());
-    EXPECT_EQ(merged.header().generation, 2u);
-
-    // Compaction at save: rewrite, then a clean zero-copy mapping.
-    dbt::ImageBuilder b(dbt::ImageBuilder::Options{
-        0, merged.header().generation});
-    b.add(merged);
-    ASSERT_TRUE(dbt::TransImage::save(path, b.build()));
-    dbt::TransImage compact;
-    ASSERT_EQ(dbt::TransImage::load(path, compact),
-              dbt::LoadError::None);
-    EXPECT_EQ(compact.deltaSegments(), 0u);
-    EXPECT_EQ(compact.recordCount(), merged.recordCount());
-#ifdef __unix__
-    EXPECT_TRUE(compact.isMapped());
-#endif
-
-    // A truncated delta tail is typed, not parsed.
-    ASSERT_TRUE(dbt::TransImage::appendDelta(path, rB));
-    {
-        std::ifstream in(path, std::ios::binary | std::ios::ate);
-        const std::streamoff full = in.tellg();
-        std::vector<char> bytes(static_cast<std::size_t>(full) - 9);
-        in.seekg(0);
-        in.read(bytes.data(), static_cast<std::streamoff>(bytes.size()));
-        std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-        outf.write(bytes.data(),
-                   static_cast<std::streamoff>(bytes.size()));
-    }
-    dbt::TransImage cut;
-    EXPECT_EQ(dbt::TransImage::load(path, cut),
-              dbt::LoadError::Truncated);
-
-    // appendDelta refuses non-image targets.
-    const std::string v1path = tempPath("image_delta_v1.cdvm");
-    ASSERT_TRUE(dbt::saveFile(v1path, rA));
-    EXPECT_FALSE(dbt::TransImage::appendDelta(v1path, rB));
-    EXPECT_FALSE(dbt::TransImage::appendDelta(
-        tempPath("image_delta_missing.cdvmimg"), rB));
-    std::remove(path.c_str());
-    std::remove(v1path.c_str());
-}
 
 TEST(Image, EvictionByBudgetKeepsHotPrefix)
 {
     workload::Program prog = testProgram();
-    x86::Memory pmem;
-    prog.loadInto(pmem);
-    x86::CpuState cpu = prog.initialState();
-    vmm::Vmm vm(pmem, cfgSoft());
-    vm.run(cpu, 10'000'000);
     // Hottest-first capture so the ranking is meaningful.
-    const dbt::Repository repo = vm.captureWarmStart();
-    ASSERT_GT(repo.entries.size(), 4u);
+    const dbt::TransImage full = capturedImage(prog);
+    ASSERT_GT(full.recordCount(), 4u);
 
-    const std::vector<u8> full = builtImage(repo);
-    dbt::ImageBuilder b(dbt::ImageBuilder::Options{full.size() / 2, 1});
-    b.add(repo);
+    dbt::ImageBuilder b(
+        dbt::ImageBuilder::Options{full.sizeBytes() / 2, 1});
+    b.add(full);
     const std::vector<u8> small = b.build();
     ASSERT_GT(b.evicted(), 0u);
-    ASSERT_LT(small.size(), full.size());
-    EXPECT_LE(small.size(), full.size() / 2);
+    EXPECT_LE(small.size(), full.sizeBytes() / 2);
 
     dbt::TransImage img = adopted(small);
     EXPECT_EQ(img.header().evicted, b.evicted());
-    EXPECT_EQ(img.recordCount(),
-              repo.entries.size() - b.evicted());
+    EXPECT_EQ(img.recordCount(), full.recordCount() - b.evicted());
 
     // The kept set is the hottest prefix of the ranking, and the
     // survivors still install (chains to evicted records dropped).
     for (std::size_t i = 0; i < img.recordCount(); ++i)
-        EXPECT_EQ(img.record(i).hdr->entryPc, repo.entries[i].entryPc)
+        EXPECT_EQ(img.record(i).hdr->entryPc,
+                  full.record(i).hdr->entryPc)
             << i;
     InstallTarget t(prog);
     const engine::WarmStartReport rep =
@@ -790,8 +687,8 @@ TEST(Image, EvictionByBudgetKeepsHotPrefix)
 
     // No budget pressure: nothing evicted.
     dbt::ImageBuilder loose(
-        dbt::ImageBuilder::Options{2 * full.size(), 1});
-    loose.add(repo);
+        dbt::ImageBuilder::Options{2 * full.sizeBytes(), 1});
+    loose.add(full);
     loose.build();
     EXPECT_EQ(loose.evicted(), 0u);
 }
@@ -803,13 +700,12 @@ TEST(Image, EvictionByBudgetKeepsHotPrefix)
 TEST(ImageConcurrency, ManyReadersOneWriterAppend)
 {
     workload::Program prog = testProgram(11);
-    x86::Memory m1, m2;
-    const dbt::Repository base = capturedRepo(prog, m1);
-    const dbt::Repository delta = capturedRepo(testProgram(31), m2);
+    auto base = std::make_shared<const dbt::TransImage>(
+        capturedImage(prog));
+    const dbt::TransImage delta = capturedImage(testProgram(31));
 
     dbt::ImageStore store;
-    store.publish(std::make_shared<const dbt::TransImage>(
-        adopted(builtImage(base))));
+    store.publish(base);
 
     constexpr unsigned kReaders = 4;
     constexpr unsigned kInstallsPerReader = 6;
@@ -833,8 +729,7 @@ TEST(ImageConcurrency, ManyReadersOneWriterAppend)
                 const engine::WarmStartReport rep =
                     engine::warmStartInstall(*img, t.mem, t.ccm,
                                              t.prof);
-                if (rep.installed < base.entries.size() ||
-                    rep.bodyCopies != 0) {
+                if (rep.installed < base->recordCount()) {
                     failed = true;
                     return;
                 }
@@ -860,19 +755,17 @@ TEST(ImageConcurrency, ManyReadersOneWriterAppend)
     std::shared_ptr<const dbt::TransImage> fin = store.acquire();
     ASSERT_NE(fin, nullptr);
     EXPECT_EQ(fin->recordCount(),
-              base.entries.size() + delta.entries.size());
+              base->recordCount() + delta.recordCount());
 }
 
-TEST(ImageConcurrency, CompactionNeverInvalidatesHeldGenerations)
+TEST(ImageConcurrency, PublishNeverInvalidatesHeldGenerations)
 {
     workload::Program prog = testProgram(11);
-    x86::Memory m1, m2;
-    const dbt::Repository base = capturedRepo(prog, m1);
-    const dbt::Repository delta = capturedRepo(testProgram(31), m2);
+    const dbt::TransImage delta = capturedImage(testProgram(31));
 
     dbt::ImageStore store;
-    store.publish(std::make_shared<const dbt::TransImage>(
-        adopted(builtImage(base))));
+    store.publish(
+        std::make_shared<const dbt::TransImage>(capturedImage(prog)));
 
     std::atomic<bool> writerDone{false};
     std::atomic<bool> failed{false};
@@ -881,7 +774,7 @@ TEST(ImageConcurrency, CompactionNeverInvalidatesHeldGenerations)
     for (unsigned r = 0; r < 4; ++r) {
         readers.emplace_back([&] {
             // Pin the first generation and keep reading it while the
-            // writer compacts replacements underneath.
+            // writer merges replacements underneath.
             std::shared_ptr<const dbt::TransImage> pinned =
                 store.acquire();
             std::vector<Addr> want;
@@ -944,8 +837,8 @@ TEST(ImageFleet, SharedImageBootStormRetireIdentical)
     // Prime every class, merge the captures into ONE shared image.
     const engine::EngineConfig tcfg =
         fleet::tenantEngineConfig(cfg.engineCfg);
-    dbt::ImageBuilder b;
     std::vector<workload::Program> progs;
+    std::vector<dbt::TransImage> parts;
     for (unsigned w = 0; w < cfg.workloads; ++w) {
         workload::ProgramParams p = cfg.workloadParams;
         p.seed = fleet::deriveSeed(cfg.fleetSeed, w);
@@ -954,23 +847,24 @@ TEST(ImageFleet, SharedImageBootStormRetireIdentical)
         progs.back().loadInto(mem);
         vmm::Vmm vm(mem, tcfg);
         runToTarget(vm, progs.back(), 2 * cfg.targetInsns);
-        b.add(vm.captureWarmStart());
+        parts.push_back(vm.captureWarmStart());
     }
+    dbt::ImageBuilder b;
+    for (const dbt::TransImage &part : parts)
+        b.add(part);
     const std::vector<u8> blob = b.build();
-    auto shared =
-        std::make_shared<const dbt::TransImage>(adopted(blob));
-    cfg.warmImage = shared;
+    cfg.imageEndpoint = std::make_shared<dbt::ImageStore>(
+        std::make_shared<const dbt::TransImage>(adopted(blob)));
 
     fleet::FleetServer warm(cfg);
     const fleet::FleetResult wr = warm.run();
     ASSERT_EQ(wr.completed, cfg.contexts);
     ASSERT_EQ(wr.reachedMilestone, cfg.contexts);
 
-    // Boot-storm win: every context installed zero-copy from the one
-    // image, and warm p99 startup beats cold strictly.
+    // Boot-storm win: every context installed from the one image, and
+    // warm p99 startup beats cold strictly.
     for (const fleet::ContextResult &c : wr.contexts) {
         EXPECT_GT(c.warmInstalled, 0u) << c.id;
-        EXPECT_EQ(c.warmBodyCopies, 0u) << c.id;
         EXPECT_TRUE(c.ok) << c.id;
     }
     EXPECT_GT(wr.p99TimeToMilestone, 0.0);
@@ -981,8 +875,8 @@ TEST(ImageFleet, SharedImageBootStormRetireIdentical)
     // emulate exactly what every fleet context of that class did.
     for (unsigned w = 0; w < cfg.workloads; ++w) {
         engine::SharedServices svc;
-        svc.warmImage =
-            std::make_shared<const dbt::TransImage>(adopted(blob));
+        svc.imageEndpoint = std::make_shared<dbt::ImageStore>(
+            std::make_shared<const dbt::TransImage>(adopted(blob)));
         x86::Memory mem;
         progs[w].loadInto(mem);
         vmm::Vmm vm(mem, tcfg, svc);

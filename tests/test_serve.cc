@@ -34,7 +34,6 @@
 
 #include "dbt/image.hh"
 #include "dbt/mapsource.hh"
-#include "dbt/persist.hh"
 #include "engine/cache_mgr.hh"
 #include "engine/warm_start.hh"
 #include "helpers.hh"
@@ -78,22 +77,24 @@ tempPath(const char *name)
     return ::testing::TempDir() + name;
 }
 
-/** Run a program cold and capture its translation map. */
-dbt::Repository
-capturedRepo(const workload::Program &prog, x86::Memory &mem)
+/** Run a program cold and capture its warm-start image. */
+dbt::TransImage
+capturedImage(const workload::Program &prog)
 {
+    x86::Memory mem;
     prog.loadInto(mem);
     x86::CpuState cpu = prog.initialState();
     vmm::Vmm vm(mem, cfgSoft());
     vm.run(cpu, 10'000'000);
-    return dbt::capture(vm.translations(), mem);
+    return vm.captureWarmStart();
 }
 
+/** A captured image rebuilt as a blob stamped with generation. */
 std::vector<u8>
-builtImage(const dbt::Repository &repo, u64 generation = 1)
+builtImage(const dbt::TransImage &img, u64 generation = 1)
 {
     dbt::ImageBuilder b(dbt::ImageBuilder::Options{0, generation});
-    b.add(repo);
+    b.add(img);
     return b.build();
 }
 
@@ -147,9 +148,7 @@ expectWarmBootMatches(const workload::Program &prog,
 TEST(MapSource, BackingsParseAndInstallIdentically)
 {
     workload::Program prog = testProgram();
-    x86::Memory pmem;
-    const dbt::Repository repo = capturedRepo(prog, pmem);
-    const std::vector<u8> blob = builtImage(repo);
+    const std::vector<u8> blob = builtImage(capturedImage(prog));
     const std::string path = tempPath("mapsource_eq.cdvmimg");
     ASSERT_TRUE(dbt::TransImage::save(path, blob));
 
@@ -189,8 +188,7 @@ TEST(MapSource, BackingsParseAndInstallIdentically)
         InstallTarget t(prog);
         const engine::WarmStartReport r = engine::warmStartInstall(
             *img, t.mem, t.ccm, t.prof);
-        ASSERT_GT(r.installed, 0u);
-        EXPECT_EQ(r.bodyCopies, 0u)
+        ASSERT_GT(r.installed, 0u)
             << dbt::MapSource::kindName(img->backingKind());
         if (img == &owned)
             first = r;
@@ -219,10 +217,7 @@ TEST(MapSource, BackingsParseAndInstallIdentically)
 
 TEST(MapSource, ResidencyCountersSane)
 {
-    workload::Program prog = testProgram(11);
-    x86::Memory pmem;
-    const std::vector<u8> blob =
-        builtImage(capturedRepo(prog, pmem));
+    const std::vector<u8> blob = builtImage(capturedImage(testProgram(11)));
     const std::string path = tempPath("mapsource_res.cdvmimg");
     ASSERT_TRUE(dbt::TransImage::save(path, blob));
 
@@ -248,7 +243,7 @@ TEST(MapSource, ResidencyCountersSane)
 // Error detail (the mmap/fread audit): errno survives, typed errors
 // ---------------------------------------------------------------------
 
-TEST(Persist, IoErrorsCarryErrnoDetail)
+TEST(Serve, IoErrorsCarryErrnoDetail)
 {
     dbt::TransImage img;
     EXPECT_EQ(dbt::TransImage::load("/nonexistent/dir/no.cdvmimg",
@@ -266,13 +261,11 @@ TEST(Persist, IoErrorsCarryErrnoDetail)
     EXPECT_EQ(dbt::lastIoErrno(), ENOENT);
 }
 
-TEST(Persist, AtomicSaveNeverTearsConcurrentReaders)
+TEST(Serve, AtomicSaveNeverTearsConcurrentReaders)
 {
-    workload::Program prog = testProgram(13);
-    x86::Memory pmem;
-    const dbt::Repository repo = capturedRepo(prog, pmem);
-    const std::vector<u8> a = builtImage(repo, 1);
-    const std::vector<u8> b = builtImage(repo, 2);
+    const dbt::TransImage img = capturedImage(testProgram(13));
+    const std::vector<u8> a = builtImage(img, 1);
+    const std::vector<u8> b = builtImage(img, 2);
     ASSERT_NE(a, b); // distinct generations -> distinct bytes
     const std::string path = tempPath("atomic_save.cdvmimg");
     ASSERT_TRUE(dbt::TransImage::save(path, a));
@@ -308,9 +301,7 @@ TEST(Persist, AtomicSaveNeverTearsConcurrentReaders)
 TEST(Serve, FdPassingRoundTrip)
 {
     workload::Program prog = testProgram(17);
-    x86::Memory pmem;
-    const std::vector<u8> blob =
-        builtImage(capturedRepo(prog, pmem));
+    const std::vector<u8> blob = builtImage(capturedImage(prog));
     const std::string sock = tempPath("serve_rt.sock");
 
     serve::ImageHost host;
@@ -349,12 +340,11 @@ TEST(Serve, FdPassingRoundTrip)
 TEST(Serve, PublishNeverInvalidatesHeldGenerations)
 {
     workload::Program prog = testProgram(19);
-    x86::Memory pmem;
-    const dbt::Repository repo = capturedRepo(prog, pmem);
+    const dbt::TransImage img = capturedImage(prog);
     const std::string sock = tempPath("serve_gen.sock");
 
     serve::ImageHost host;
-    ASSERT_TRUE(host.publish(builtImage(repo, 1)));
+    ASSERT_TRUE(host.publish(builtImage(img, 1)));
     ASSERT_TRUE(host.start(sock)) << host.lastError();
 
     serve::ImageClient client;
@@ -366,7 +356,7 @@ TEST(Serve, PublishNeverInvalidatesHeldGenerations)
 
     // Writer publishes a new generation; the host's fd for the old
     // sealed object is closed.
-    ASSERT_TRUE(host.publish(builtImage(repo, 2)));
+    ASSERT_TRUE(host.publish(builtImage(img, 2)));
     ASSERT_TRUE(client.refresh()) << client.lastError();
     const auto fresh = client.acquire();
     ASSERT_NE(fresh, nullptr);
@@ -380,7 +370,6 @@ TEST(Serve, PublishNeverInvalidatesHeldGenerations)
     const engine::WarmStartReport r =
         engine::warmStartInstall(*held, t.mem, t.ccm, t.prof);
     EXPECT_GT(r.installed, 0u);
-    EXPECT_EQ(r.bodyCopies, 0u);
     host.stop();
 }
 
@@ -397,9 +386,7 @@ TEST(Serve, EmptyHostHandshakesWithNoImage)
     EXPECT_EQ(client.acquire(), nullptr);
 
     // A publish becomes visible on the next refresh.
-    workload::Program prog = testProgram(23);
-    x86::Memory pmem;
-    ASSERT_TRUE(host.publish(builtImage(capturedRepo(prog, pmem))));
+    ASSERT_TRUE(host.publish(capturedImage(testProgram(23)).bytes()));
     ASSERT_TRUE(client.refresh()) << client.lastError();
     EXPECT_NE(client.acquire(), nullptr);
     host.stop();
