@@ -37,19 +37,60 @@ readU64(const u8 *p)
     return v;
 }
 
-/** Incremental FNV-1a (values hashed in host = image byte order). */
-struct Fnv
+u64
+rotl64(u64 v, unsigned r)
 {
-    u64 h = 0xCBF29CE484222325ull;
+    return (v << r) | (v >> (64 - r));
+}
 
+constexpr u64 XXH_P1 = 0x9E3779B185EBCA87ull;
+constexpr u64 XXH_P2 = 0xC2B2AE3D27D4EB4Full;
+constexpr u64 XXH_P3 = 0x165667B19E3779F9ull;
+constexpr u64 XXH_P4 = 0x85EBCA77C2B2AE63ull;
+constexpr u64 XXH_P5 = 0x27D4EB2F165667C5ull;
+
+u64
+xxhRound(u64 acc, u64 input)
+{
+    return rotl64(acc + input * XXH_P2, 31) * XXH_P1;
+}
+
+u64
+xxhMerge(u64 h, u64 lane)
+{
+    return (h ^ xxhRound(0, lane)) * XXH_P1 + XXH_P4;
+}
+
+/**
+ * Incremental imageHash (XXH64, seed 0; values hashed in host = image
+ * byte order). Four lanes advance independently over each 32-byte
+ * stripe, so no byte waits on the previous byte's multiply.
+ */
+class Hash64
+{
+  public:
     void
     add(const void *p, std::size_t n)
     {
+        if (n == 0)
+            return;
         const u8 *b = static_cast<const u8 *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001B3ull;
+        total += n;
+        if (buffered) {
+            const std::size_t take = std::min(STRIPE - buffered, n);
+            std::memcpy(buf + buffered, b, take);
+            buffered += take;
+            b += take;
+            n -= take;
+            if (buffered < STRIPE)
+                return;
+            stripes(buf, STRIPE);
+            buffered = 0;
         }
+        const std::size_t whole = n - n % STRIPE;
+        stripes(b, whole);
+        std::memcpy(buf, b + whole, n - whole);
+        buffered = n - whole;
     }
 
     template <typename T>
@@ -58,6 +99,62 @@ struct Fnv
     {
         add(&v, sizeof v);
     }
+
+    u64
+    digest() const
+    {
+        u64 h = XXH_P5;
+        if (total >= STRIPE) {
+            h = rotl64(lane[0], 1) + rotl64(lane[1], 7) +
+                rotl64(lane[2], 12) + rotl64(lane[3], 18);
+            for (u64 l : lane)
+                h = xxhMerge(h, l);
+        }
+        h += total;
+        std::size_t i = 0;
+        for (; i + 8 <= buffered; i += 8)
+            h = rotl64(h ^ xxhRound(0, readU64(buf + i)), 27) * XXH_P1 +
+                XXH_P4;
+        if (i + 4 <= buffered) {
+            u32 w = 0;
+            std::memcpy(&w, buf + i, sizeof w);
+            h = rotl64(h ^ (w * XXH_P1), 23) * XXH_P2 + XXH_P3;
+            i += 4;
+        }
+        for (; i < buffered; ++i)
+            h = rotl64(h ^ (buf[i] * XXH_P5), 11) * XXH_P1;
+        h ^= h >> 33;
+        h *= XXH_P2;
+        h ^= h >> 29;
+        h *= XXH_P3;
+        h ^= h >> 32;
+        return h;
+    }
+
+  private:
+    static constexpr std::size_t STRIPE = 32;
+
+    /** Advance the lanes over n (a multiple of STRIPE) bytes. */
+    void
+    stripes(const u8 *p, std::size_t n)
+    {
+        u64 v0 = lane[0], v1 = lane[1], v2 = lane[2], v3 = lane[3];
+        for (const u8 *end = p + n; p != end; p += STRIPE) {
+            v0 = xxhRound(v0, readU64(p));
+            v1 = xxhRound(v1, readU64(p + 8));
+            v2 = xxhRound(v2, readU64(p + 16));
+            v3 = xxhRound(v3, readU64(p + 24));
+        }
+        lane[0] = v0;
+        lane[1] = v1;
+        lane[2] = v2;
+        lane[3] = v3;
+    }
+
+    u64 lane[4] = {XXH_P1 + XXH_P2, XXH_P2, 0, 0 - XXH_P1};
+    u8 buf[STRIPE] = {};
+    std::size_t buffered = 0;
+    u64 total = 0;
 };
 
 /** Record blob size: header + pc table + raw uop bodies, 8-aligned. */
@@ -104,10 +201,10 @@ constexpr u8 IMG_F_SEMANTIC = IMG_F_COMPLEX | IMG_F_ENDS_CTI |
 /** Semantic identity of a record (counts and chains excluded, so
  *  identical code dedupes across contexts that ran it differently). */
 u64
-contentKeyOf(const ImageRecordHeader &h, std::span<const Addr> pcs,
-             std::span<const uops::Uop> body)
+contentKeyOf(const ImageRecordHeader &h, u64 page_key,
+             std::span<const Addr> pcs, std::span<const uops::Uop> body)
 {
-    Fnv f;
+    Hash64 f;
     f.put(h.kind);
     f.put(static_cast<u8>(h.flags & IMG_F_SEMANTIC));
     f.put(h.entryPc);
@@ -116,7 +213,7 @@ contentKeyOf(const ImageRecordHeader &h, std::span<const Addr> pcs,
     f.put(h.fallthroughPc);
     f.put(h.condBranchTarget);
     f.put(h.condBranchPc);
-    f.put(h.pageKey);
+    f.put(page_key);
     f.put(static_cast<u32>(pcs.size()));
     f.add(pcs.data(), pcs.size_bytes());
     f.put(static_cast<u32>(body.size()));
@@ -125,22 +222,22 @@ contentKeyOf(const ImageRecordHeader &h, std::span<const Addr> pcs,
         writeUop(clean, u);
         f.add(clean, sizeof clean);
     }
-    return f.h;
+    return f.digest();
 }
 
 /** Full equality check behind a contentKey match (collision guard). */
 bool
-sameRecord(const ImageRecordHeader &a, std::span<const Addr> a_pcs,
-           std::span<const uops::Uop> a_body,
-           const ImageRecordHeader &b, std::span<const Addr> b_pcs,
-           std::span<const uops::Uop> b_body)
+sameRecord(const ImageRecordHeader &a, u64 a_key,
+           std::span<const Addr> a_pcs, std::span<const uops::Uop> a_body,
+           const ImageRecordHeader &b, u64 b_key,
+           std::span<const Addr> b_pcs, std::span<const uops::Uop> b_body)
 {
     if (a.kind != b.kind ||
         (a.flags & IMG_F_SEMANTIC) != (b.flags & IMG_F_SEMANTIC) ||
         a.entryPc != b.entryPc || a.numX86Insns != b.numX86Insns ||
         a.x86Bytes != b.x86Bytes || a.fallthroughPc != b.fallthroughPc ||
         a.condBranchTarget != b.condBranchTarget ||
-        a.condBranchPc != b.condBranchPc || a.pageKey != b.pageKey ||
+        a.condBranchPc != b.condBranchPc || a_key != b_key ||
         !std::equal(a_pcs.begin(), a_pcs.end(), b_pcs.begin(),
                     b_pcs.end()) ||
         a_body.size() != b_body.size())
@@ -230,18 +327,19 @@ loadErrorName(LoadError e)
 }
 
 u64
-fnv1a(std::span<const u8> bytes)
+imageHash(std::span<const u8> bytes)
 {
-    Fnv f;
-    f.add(bytes.data(), bytes.size());
-    return f.h;
+    Hash64 h;
+    h.add(bytes.data(), bytes.size());
+    return h.digest();
 }
 
 u64
 guestPageHash(const x86::Memory &mem, Addr page)
 {
-    std::vector<u8> bytes = mem.readBlock(page, PAGE_BYTES);
-    return fnv1a(bytes);
+    u8 bytes[PAGE_BYTES];
+    mem.fetchWindow(page, bytes, sizeof bytes);
+    return imageHash(bytes);
 }
 
 std::vector<Addr>
@@ -266,14 +364,18 @@ coveredPages(Addr entry_pc, std::span<const Addr> x86pcs)
 }
 
 u64
-pageSetKey(std::span<const std::pair<Addr, u64>> sorted_pages)
+pageListKey(const x86::Memory &mem, std::span<const Addr> sorted_pages,
+            std::unordered_map<Addr, u64> &page_hash)
 {
-    Fnv f;
-    for (const auto &[page, hash] : sorted_pages) {
+    Hash64 f;
+    for (Addr page : sorted_pages) {
+        auto it = page_hash.find(page);
+        if (it == page_hash.end())
+            it = page_hash.emplace(page, guestPageHash(mem, page)).first;
         f.put(page);
-        f.put(hash);
+        f.put(it->second);
     }
-    return f.h;
+    return f.digest();
 }
 
 // --- TransImage -----------------------------------------------------
@@ -293,7 +395,8 @@ TransImage::operator=(TransImage &&other) noexcept
     base = other.base;
     len = other.len;
     hdr = other.hdr;
-    pages = other.pages;
+    lists = other.lists;
+    listPages = other.listPages;
     dedupe = other.dedupe;
     recIndex = other.recIndex;
     recordsBase = other.recordsBase;
@@ -310,7 +413,8 @@ TransImage::reset()
     base = nullptr;
     len = 0;
     hdr = nullptr;
-    pages = {};
+    lists = {};
+    listPages = {};
     dedupe = {};
     recIndex = {};
     recordsBase = nullptr;
@@ -339,15 +443,13 @@ TransImage::verify()
     if (total > len)
         return LoadError::Truncated;
 
-    // Whole-image checksum with the checksum field itself zeroed.
+    // Whole-image checksum with the checksum field read as zero.
     {
-        u64 h = 0xCBF29CE484222325ull;
-        for (u64 i = 0; i < total; ++i) {
-            const u8 b = (i >= 24 && i < 32) ? 0 : base[i];
-            h ^= b;
-            h *= 0x100000001B3ull;
-        }
-        if (h != readU64(base + 24))
+        Hash64 h;
+        h.add(base, 24);
+        h.put(u64{0});
+        h.add(base + 32, total - 32);
+        if (h.digest() != readU64(base + 24))
             return LoadError::Corrupt;
     }
 
@@ -356,10 +458,11 @@ TransImage::verify()
         return LoadError::Corrupt;
 
     // Section table: in-order, 8-aligned, inside the base image, and
-    // byte-count consistent with the fixed entry sizes.
+    // byte-count consistent with the fixed entry sizes (PageLists: at
+    // least its list table, then whole pages).
     static constexpr u64 entry_bytes[IMAGE_NUM_SECTIONS] = {
-        sizeof(ImagePageHash), sizeof(ImageDedupeEntry), sizeof(u64),
-        0, sizeof(ImageReloc), sizeof(ImageBranchStat)};
+        0, sizeof(ImageDedupeEntry), sizeof(ImageRecordRef), 0,
+        sizeof(ImageReloc), sizeof(ImageBranchStat)};
     u64 prev_end = sizeof(ImageHeader);
     for (u32 s = 0; s < IMAGE_NUM_SECTIONS; ++s) {
         const ImageSectionDesc &d = hdr->sections[s];
@@ -374,19 +477,28 @@ TransImage::verify()
     auto desc = [this](ImageSection s) -> const ImageSectionDesc & {
         return hdr->sections[static_cast<u32>(s)];
     };
-    const ImageSectionDesc &dp = desc(ImageSection::PageIndex);
+    const ImageSectionDesc &dp = desc(ImageSection::PageLists);
     const ImageSectionDesc &dd = desc(ImageSection::DedupeIndex);
     const ImageSectionDesc &di = desc(ImageSection::RecordIndex);
     const ImageSectionDesc &dr = desc(ImageSection::Records);
     const ImageSectionDesc &dl = desc(ImageSection::Relocs);
     const ImageSectionDesc &db = desc(ImageSection::BranchProfile);
 
-    pages = {reinterpret_cast<const ImagePageHash *>(base + dp.offset),
+    if (dp.count > dp.bytes / sizeof(ImagePageList) ||
+        (dp.bytes - dp.count * sizeof(ImagePageList)) % sizeof(Addr))
+        return LoadError::Corrupt;
+    const u64 list_table = dp.count * sizeof(ImagePageList);
+    lists = {reinterpret_cast<const ImagePageList *>(base + dp.offset),
              static_cast<std::size_t>(dp.count)};
+    listPages = {reinterpret_cast<const Addr *>(base + dp.offset +
+                                                list_table),
+                 static_cast<std::size_t>((dp.bytes - list_table) /
+                                          sizeof(Addr))};
     dedupe = {reinterpret_cast<const ImageDedupeEntry *>(base +
                                                          dd.offset),
               static_cast<std::size_t>(dd.count)};
-    recIndex = {reinterpret_cast<const u64 *>(base + di.offset),
+    recIndex = {reinterpret_cast<const ImageRecordRef *>(base +
+                                                         di.offset),
                 static_cast<std::size_t>(di.count)};
     recordsBase = base + dr.offset;
     relocations = {reinterpret_cast<const ImageReloc *>(base +
@@ -396,13 +508,21 @@ TransImage::verify()
                                                           db.offset),
                 static_cast<std::size_t>(db.count)};
 
+    // Every list lies inside the page array.
+    for (const ImagePageList &l : lists) {
+        if (l.first > listPages.size() ||
+            l.count > listPages.size() - l.first)
+            return LoadError::Corrupt;
+    }
+
     // Per-record structural bounds.
     const u64 n = di.count;
     for (u64 i = 0; i < n; ++i) {
-        const u64 off = recIndex[i];
+        const u64 off = recIndex[i].offset;
         if (off % IMAGE_ALIGN ||
             off > dr.bytes ||
-            dr.bytes - off < sizeof(ImageRecordHeader))
+            dr.bytes - off < sizeof(ImageRecordHeader) ||
+            recIndex[i].pageList >= lists.size())
             return LoadError::Corrupt;
         const auto *rh = reinterpret_cast<const ImageRecordHeader *>(
             recordsBase + off);
@@ -433,7 +553,7 @@ TransImage::RecordView
 TransImage::record(std::size_t i) const
 {
     RecordView v;
-    const u8 *p = recordsBase + recIndex[i];
+    const u8 *p = recordsBase + recIndex[i].offset;
     v.hdr = reinterpret_cast<const ImageRecordHeader *>(p);
     v.x86pcs = {reinterpret_cast<const Addr *>(
                     p + sizeof(ImageRecordHeader)),
@@ -601,22 +721,13 @@ ImageBuilder::add(const TranslationMap &map, const x86::Memory &mem,
     std::vector<u32> index(live.size(), NO_RECORD);
     for (std::size_t i = 0; i < live.size(); ++i) {
         const Translation &t = *live[i];
-        ImageRecordHeader h = headerOf(t);
-        std::vector<std::pair<Addr, u64>> pages;
-        for (Addr page : coveredPages(t.entryPc, t.pcSpan())) {
-            auto it = page_hash.find(page);
-            if (it == page_hash.end())
-                it = page_hash.emplace(page, guestPageHash(mem, page))
-                         .first;
-            pageHash.emplace(page, it->second);
-            pages.emplace_back(page, it->second);
-        }
         // An empty body is nothing a warm install could use.
         if (t.code().empty())
             continue;
+        std::vector<Addr> pages = coveredPages(t.entryPc, t.pcSpan());
         std::sort(pages.begin(), pages.end());
-        h.pageKey = pageSetKey(pages);
-        index[i] = stage(h, t.pcSpan(), t.code());
+        index[i] = stage(headerOf(t), pageListKey(mem, pages, page_hash),
+                         pages, t.pcSpan(), t.code());
         id_to_index.emplace(idKey(t.id), index[i]);
     }
 
@@ -639,21 +750,19 @@ ImageBuilder::add(const TranslationMap &map, const x86::Memory &mem,
 void
 ImageBuilder::add(const TransImage &img)
 {
-    // Stage records straight off the image, preserving each record's
-    // stored pageKey: the merged page index keeps only one hash per
-    // page, so recomputing content addresses from it would corrupt
-    // records whenever two workload classes carry different code at
-    // the same guest pages (and repeated merges would then duplicate
-    // instead of dedupe).
-    for (const ImagePageHash &p : img.pageHashes())
-        pageHash.emplace(p.page, p.hash);
+    // Stage records straight off the image, keeping each record's
+    // pageKey and page list: the key can only be computed against the
+    // guest memory of the context that captured the record, which a
+    // merge does not have.
     for (const ImageBranchStat &b : img.branchProfile())
         addBranch(b);
 
     std::vector<u32> remap(img.recordCount(), NO_RECORD);
     for (std::size_t j = 0; j < img.recordCount(); ++j) {
         const TransImage::RecordView v = img.record(j);
-        remap[j] = stage(*v.hdr, v.x86pcs, v.uops);
+        const ImageRecordRef &ref = img.recordIndex()[j];
+        remap[j] = stage(*v.hdr, ref.pageKey, img.pageList(ref.pageList),
+                         v.x86pcs, v.uops);
     }
     // Chains, remapped to builder indices. A dedupe hit may fill a
     // shared record's still-empty chain slots, never overwrite them.
@@ -677,16 +786,17 @@ ImageBuilder::addBranch(const ImageBranchStat &b)
 }
 
 u32
-ImageBuilder::stage(const ImageRecordHeader &hdr,
+ImageBuilder::stage(const ImageRecordHeader &hdr, u64 page_key,
+                    std::span<const Addr> page_list,
                     std::span<const Addr> pcs,
                     std::span<const uops::Uop> body)
 {
-    const u64 ck = contentKeyOf(hdr, pcs, body);
+    const u64 ck = contentKeyOf(hdr, page_key, pcs, body);
     const auto hit = byContent.find(ck);
     if (hit != byContent.end()) {
         Staged &kept = recs[hit->second];
-        if (sameRecord(kept.hdr, kept.x86pcs, kept.uops, hdr, pcs,
-                       body)) {
+        if (sameRecord(kept.hdr, kept.pageKey, kept.x86pcs, kept.uops,
+                       hdr, page_key, pcs, body)) {
             // Shared record: keep the hotter profile of the two.
             kept.hdr.execCount = std::max(kept.hdr.execCount,
                                           hdr.execCount);
@@ -712,6 +822,13 @@ ImageBuilder::stage(const ImageRecordHeader &hdr,
     s.x86pcs = pcs;
     s.uops = body;
     s.contentKey = ck;
+    s.pageKey = page_key;
+    s.pageList =
+        pageLists
+            .try_emplace(std::vector<Addr>(page_list.begin(),
+                                           page_list.end()),
+                         static_cast<u32>(pageLists.size()))
+            .first->second;
     recs.push_back(s);
     byContent.emplace(ck, idx);
     return idx;
@@ -733,18 +850,21 @@ ImageBuilder::build()
 {
     // Hotness-ranked eviction against the size budget: records are
     // already ranked (capture order is hottest-first), so the budget
-    // drops the coldest tail. Fixed sections are charged first.
-    const u64 fixed = sizeof(ImageHeader) +
-                      pageHash.size() * sizeof(ImagePageHash) +
-                      branch.size() * sizeof(ImageBranchStat);
+    // drops the coldest tail. Fixed sections are charged first, the
+    // page lists at their size before eviction (an upper bound).
     std::size_t kept = recs.size();
     if (opt.sizeBudgetBytes) {
-        u64 acc = fixed;
+        u64 acc = sizeof(ImageHeader) +
+                  branch.size() * sizeof(ImageBranchStat);
+        for (const auto &entry : pageLists)
+            acc += sizeof(ImagePageList) +
+                   entry.first.size() * sizeof(Addr);
         kept = 0;
         for (const Staged &s : recs) {
-            const u64 cost =
-                recordBlobBytes(s.hdr.nPcs, s.hdr.nUops) + sizeof(u64) +
-                sizeof(ImageDedupeEntry) + 2 * sizeof(ImageReloc);
+            const u64 cost = recordBlobBytes(s.hdr.nPcs, s.hdr.nUops) +
+                             sizeof(ImageRecordRef) +
+                             sizeof(ImageDedupeEntry) +
+                             2 * sizeof(ImageReloc);
             if (acc + cost > opt.sizeBudgetBytes)
                 break;
             acc += cost;
@@ -753,14 +873,33 @@ ImageBuilder::build()
     }
     nEvicted = recs.size() - kept;
 
+    // The page lists the kept records use, in sorted order; list_of
+    // maps a builder list id to its PageLists entry.
+    constexpr u32 UNUSED = 0xFFFFFFFFu;
+    std::vector<u32> list_of(pageLists.size(), UNUSED);
+    for (std::size_t i = 0; i < kept; ++i)
+        list_of[recs[i].pageList] = 0;
+    std::vector<ImagePageList> list_table;
+    std::vector<Addr> list_pages;
+    for (const auto &[pages, id] : pageLists) {
+        if (list_of[id] == UNUSED)
+            continue;
+        list_of[id] = static_cast<u32>(list_table.size());
+        list_table.push_back(
+            ImagePageList{static_cast<u32>(list_pages.size()),
+                          static_cast<u32>(pages.size())});
+        list_pages.insert(list_pages.end(), pages.begin(), pages.end());
+    }
+
     // Record blob offsets and the flat relocation list (links into
     // the evicted tail are dropped).
-    std::vector<u64> rec_off(kept);
+    std::vector<ImageRecordRef> rec_index(kept);
     u64 rec_bytes = 0;
     std::vector<ImageReloc> relocs;
     for (std::size_t i = 0; i < kept; ++i) {
         const Staged &s = recs[i];
-        rec_off[i] = rec_bytes;
+        rec_index[i] = ImageRecordRef{rec_bytes, s.pageKey,
+                                      list_of[s.pageList], 0};
         rec_bytes += recordBlobBytes(s.hdr.nPcs, s.hdr.nUops);
         for (unsigned c = 0; c < 2; ++c) {
             if (s.hdr.chainRecord[c] < kept) {
@@ -787,11 +926,14 @@ ImageBuilder::build()
         d.count = count;
         off += align8(bytes);
     };
-    place(ImageSection::PageIndex,
-          pageHash.size() * sizeof(ImagePageHash), pageHash.size());
+    const u64 list_table_bytes = list_table.size() * sizeof(ImagePageList);
+    place(ImageSection::PageLists,
+          list_table_bytes + list_pages.size() * sizeof(Addr),
+          list_table.size());
     place(ImageSection::DedupeIndex,
           kept * sizeof(ImageDedupeEntry), kept);
-    place(ImageSection::RecordIndex, kept * sizeof(u64), kept);
+    place(ImageSection::RecordIndex, kept * sizeof(ImageRecordRef),
+          kept);
     place(ImageSection::Records, rec_bytes, kept);
     place(ImageSection::Relocs, relocs.size() * sizeof(ImageReloc),
           relocs.size());
@@ -805,12 +947,11 @@ ImageBuilder::build()
         return hdr.sections[static_cast<u32>(s)];
     };
 
-    u8 *p = at(sec(ImageSection::PageIndex).offset);
-    for (const auto &[page, hash] : pageHash) {
-        const ImagePageHash ph{page, hash};
-        std::memcpy(p, &ph, sizeof ph);
-        p += sizeof ph;
-    }
+    u8 *p = at(sec(ImageSection::PageLists).offset);
+    std::copy_n(reinterpret_cast<const u8 *>(list_table.data()),
+                list_table_bytes, p);
+    std::copy_n(reinterpret_cast<const u8 *>(list_pages.data()),
+                list_pages.size() * sizeof(Addr), p + list_table_bytes);
 
     std::vector<ImageDedupeEntry> dd(kept);
     for (std::size_t i = 0; i < kept; ++i)
@@ -824,8 +965,9 @@ ImageBuilder::build()
     std::memcpy(at(sec(ImageSection::DedupeIndex).offset), dd.data(),
                 dd.size() * sizeof(ImageDedupeEntry));
 
-    std::memcpy(at(sec(ImageSection::RecordIndex).offset),
-                rec_off.data(), rec_off.size() * sizeof(u64));
+    std::copy_n(reinterpret_cast<const u8 *>(rec_index.data()),
+                kept * sizeof(ImageRecordRef),
+                at(sec(ImageSection::RecordIndex).offset));
 
     for (std::size_t i = 0; i < kept; ++i) {
         const Staged &s = recs[i];
@@ -836,7 +978,8 @@ ImageBuilder::build()
                 rh.chainRecord[c] = NO_RECORD;
             }
         }
-        u8 *rp = at(sec(ImageSection::Records).offset + rec_off[i]);
+        u8 *rp =
+            at(sec(ImageSection::Records).offset + rec_index[i].offset);
         std::memcpy(rp, &rh, sizeof rh);
         rp += sizeof rh;
         std::memcpy(rp, s.x86pcs.data(), s.x86pcs.size_bytes());
@@ -859,7 +1002,7 @@ ImageBuilder::build()
 
     std::memcpy(out.data(), &hdr, sizeof hdr);
     // Checksum with its own field zeroed, then patched in.
-    const u64 sum = fnv1a(out);
+    const u64 sum = imageHash(out);
     std::memcpy(out.data() + 24, &sum, sizeof sum);
     return out;
 }

@@ -16,22 +16,26 @@
  * Layout (little-endian, every section 8-aligned):
  *
  *   ImageHeader  magic "CDVMIMG2" | version | section table
- *                | whole-image fnv1a checksum (field zeroed while
- *                  hashing, verified before ANY record byte is
+ *                | whole-image checksum (imageHash with the field read
+ *                  as zero, verified before ANY record byte is
  *                  interpreted)
- *   PageIndex    { guestPage, fnv1a(page content) }*     sorted
+ *   PageLists    { first, count }* list table, then Addr pages[]:
+ *                the deduplicated sorted covered-page runs
  *   DedupeIndex  { contentKey, record }*                 sorted
- *   RecordIndex  u64 offset into Records per record, hotness-ranked
+ *   RecordIndex  { offset, pageKey, pageList }* per record,
+ *                hotness-ranked
  *   Records      ImageRecordHeader | Addr x86pcs[] | uops::Uop body[]
  *   Relocs       { targetPc, fromRecord, toRecord, exitSlot }*
  *   BranchProfile{ pc, taken, notTaken }*                sorted
  *
- * Content addressing: each record carries a pageKey -- fnv1a over the
- * sorted (guest page, page-content hash) pairs its code covers -- so
- * a merged multi-context image stays correct even when two workload
- * classes put *different* code at the same guest addresses: the
- * installer recomputes the key against its own guest memory and
- * silently cold-falls-back any record that does not match.
+ * Content addressing: each record is keyed by a pageKey -- imageHash
+ * over the sorted (guest page, page-content hash) pairs its code
+ * covers -- so a merged multi-context image stays correct even when
+ * two workload classes put *different* code at the same guest
+ * addresses. The installer computes one key per page list against its
+ * own guest memory, scans the dense RecordIndex, and touches only the
+ * records whose key matches; any other record silently falls back
+ * cold.
  *
  * Sharing protocol: single writer, many readers. Readers acquire a
  * shared_ptr<const TransImage> (ImageEndpoint::acquire) and install
@@ -64,8 +68,9 @@ namespace cdvm::dbt
 
 /** Image file magic ("CDVMIMG2" as a little-endian u64). */
 constexpr u64 IMAGE_MAGIC = 0x32474D494D564443ull;
-/** Image format version. */
-constexpr u32 IMAGE_VERSION = 2;
+/** Image format version; any other version is BadVersion (images are
+ *  rebuilt, never migrated). */
+constexpr u32 IMAGE_VERSION = 3;
 
 /** Why an image failed to load. */
 enum class LoadError
@@ -102,10 +107,16 @@ std::string loadErrorDetail(LoadError e);
  */
 bool atomicWriteFile(const std::string &path, std::span<const u8> bytes);
 
-/** FNV-1a over a byte span (the format's page and image hash). */
-u64 fnv1a(std::span<const u8> bytes);
+/**
+ * The format's one hash: XXH64 (seed 0) -- four independent 64-bit
+ * lanes over 32-byte stripes, so a long input hashes at memory speed.
+ * The whole-image checksum, page hashes, page keys and record content
+ * keys all use it; changing it changes every image, so it needs an
+ * IMAGE_VERSION bump.
+ */
+u64 imageHash(std::span<const u8> bytes);
 
-/** fnv1a content hash of one 4K guest code page (staleness unit). */
+/** imageHash of one 4K guest code page (staleness unit). */
 u64 guestPageHash(const x86::Memory &mem, Addr page);
 
 /**
@@ -125,7 +136,7 @@ constexpr u32 NO_RECORD = 0xFFFFFFFFu;
 /** Section order in the image's section table. */
 enum class ImageSection : u32
 {
-    PageIndex = 0,
+    PageLists = 0,
     DedupeIndex,
     RecordIndex,
     Records,
@@ -153,8 +164,8 @@ struct ImageHeader
     u32 version = IMAGE_VERSION;
     u32 sectionCount = IMAGE_NUM_SECTIONS;
     u64 totalBytes = 0; //!< base image size (deltas follow, if any)
-    /** fnv1a over [0, totalBytes) with this field zeroed. Verified
-     *  before any other field of the image is trusted. */
+    /** imageHash over [0, totalBytes) with this field read as zero.
+     *  Verified before any other field of the image is trusted. */
     u64 checksum = 0;
     u64 generation = 0; //!< builder generation (compaction counter)
     u64 dedupeHits = 0; //!< records merged by content at build time
@@ -164,18 +175,35 @@ struct ImageHeader
 static_assert(sizeof(ImageHeader) ==
               56 + 24 * IMAGE_NUM_SECTIONS);
 
-/** PageIndex entry: a guest code page and its content hash. */
-struct ImagePageHash
+/**
+ * PageLists table entry: one sorted covered-page run, pages
+ * [first, first + count) of the Addr array that follows the table.
+ * Every distinct run appears once.
+ */
+struct ImagePageList
 {
-    Addr page = 0;
-    u64 hash = 0;
+    u32 first = 0;
+    u32 count = 0;
 };
-static_assert(sizeof(ImagePageHash) == 16);
+static_assert(sizeof(ImagePageList) == 8);
+
+/** RecordIndex entry: where a record lives and what it is keyed by. */
+struct ImageRecordRef
+{
+    u64 offset = 0;  //!< into the Records section
+    /** imageHash over the sorted (page, content hash) pairs of the
+     *  record's page list -- the content address the installer
+     *  recomputes against its own guest memory. */
+    u64 pageKey = 0;
+    u32 pageList = 0; //!< PageLists entry: sorted coveredPages()
+    u32 pad0 = 0;
+};
+static_assert(sizeof(ImageRecordRef) == 24);
 
 /** DedupeIndex entry: content key -> canonical record. */
 struct ImageDedupeEntry
 {
-    u64 key = 0; //!< fnv1a over the record's semantic bytes + pageKey
+    u64 key = 0; //!< imageHash over the record's semantic bytes + pageKey
     u32 record = 0;
     u32 pad0 = 0;
 };
@@ -227,10 +255,6 @@ struct ImageRecordHeader
     u64 execCount = 0;
     u64 takenCount = 0;
     u64 notTakenCount = 0;
-    /** fnv1a over the sorted (page, content hash) pairs this record's
-     *  code covers -- the content address the installer revalidates
-     *  against its own guest memory. */
-    u64 pageKey = 0;
     /** Chains by record index (NO_RECORD = unchained); the Relocs
      *  section carries the same links flat for the one-pass fixup. */
     Addr chainTargetPc[2] = {0, 0};
@@ -244,13 +268,18 @@ struct ImageRecordHeader
     u8 flags = 0; //!< IMG_F_*
     u16 pad0 = 0;
 };
-static_assert(sizeof(ImageRecordHeader) == 112);
+static_assert(sizeof(ImageRecordHeader) == 104);
 static_assert(std::is_trivially_copyable_v<uops::Uop>);
 static_assert(alignof(uops::Uop) <= 8);
 static_assert(sizeof(uops::Uop) % 8 == 0);
 
-/** fnv1a key over sorted (page, hash) pairs (the record pageKey). */
-u64 pageSetKey(std::span<const std::pair<Addr, u64>> sorted_pages);
+/**
+ * A record pageKey: imageHash over the (page, guestPageHash) pairs of
+ * a sorted page list, read from mem. page_hash memoizes the page
+ * hashes across calls, so each page is hashed once.
+ */
+u64 pageListKey(const x86::Memory &mem, std::span<const Addr> sorted_pages,
+                std::unordered_map<Addr, u64> &page_hash);
 
 /**
  * A verified, read-only translation image. Backed by an explicit
@@ -318,7 +347,17 @@ class TransImage
     };
     RecordView record(std::size_t i) const;
 
-    std::span<const ImagePageHash> pageHashes() const { return pages; }
+    /** The dense per-record index (same order as record()). */
+    std::span<const ImageRecordRef> recordIndex() const
+    {
+        return recIndex;
+    }
+    std::size_t pageListCount() const { return lists.size(); }
+    /** One sorted covered-page run of the PageLists section. */
+    std::span<const Addr> pageList(std::size_t k) const
+    {
+        return listPages.subspan(lists[k].first, lists[k].count);
+    }
     std::span<const ImageDedupeEntry> dedupeIndex() const
     {
         return dedupe;
@@ -343,9 +382,10 @@ class TransImage
     u64 len = 0;              //!< image size (== header().totalBytes)
 
     const ImageHeader *hdr = nullptr;
-    std::span<const ImagePageHash> pages;
+    std::span<const ImagePageList> lists;
+    std::span<const Addr> listPages;
     std::span<const ImageDedupeEntry> dedupe;
-    std::span<const u64> recIndex;
+    std::span<const ImageRecordRef> recIndex;
     const u8 *recordsBase = nullptr;
     std::span<const ImageReloc> relocations;
     std::span<const ImageBranchStat> branches;
@@ -407,17 +447,19 @@ class ImageBuilder
   private:
     struct Staged
     {
-        /** Chains hold builder indices; pageKey is the content
-         *  address this record was staged under. */
+        /** Chains hold builder indices. */
         ImageRecordHeader hdr;
         std::span<const Addr> x86pcs;
         std::span<const uops::Uop> uops;
         u64 contentKey = 0;
+        u64 pageKey = 0;  //!< the content address it was staged under
+        u32 pageList = 0; //!< builder id of its sorted page list
     };
 
     /** Dedupe-or-stage one record (chains reset; caller re-binds).
      *  @return the builder index the record landed on. */
-    u32 stage(const ImageRecordHeader &hdr, std::span<const Addr> pcs,
+    u32 stage(const ImageRecordHeader &hdr, u64 page_key,
+              std::span<const Addr> page_list, std::span<const Addr> pcs,
               std::span<const uops::Uop> body);
     /** Fill a staged record's chain slot if it is still empty. */
     void bindChain(u32 from, unsigned slot, Addr target_pc, u32 to);
@@ -427,7 +469,8 @@ class ImageBuilder
     Options opt;
     std::vector<Staged> recs;
     std::unordered_map<u64, u32> byContent; //!< contentKey -> index
-    std::map<Addr, u64> pageHash;           //!< sorted page index
+    /** Distinct sorted page lists -> builder list id. */
+    std::map<std::vector<Addr>, u32> pageLists;
     std::map<Addr, std::pair<u64, u64>> branch; //!< pc -> counts
     u64 nDedupe = 0;
     u64 nEvicted = 0;

@@ -18,29 +18,33 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
     rep.loaded = img.recordCount();
     rep.mappedBytes = img.sizeBytes();
 
-    // Content-address revalidation: recompute each record's pageKey
-    // against THIS context's guest memory. Page hashes are memoized
-    // across records so every touched page is hashed exactly once.
+    // Content-address revalidation against THIS context's guest
+    // memory: one key per distinct page list, each page hashed once.
     std::unordered_map<Addr, u64> page_hash;
-    auto hashOf = [&](Addr page) {
-        auto it = page_hash.find(page);
-        if (it != page_hash.end())
-            return it->second;
-        const u64 h = dbt::guestPageHash(mem, page);
-        page_hash.emplace(page, h);
-        return h;
-    };
+    std::vector<u64> list_key(img.pageListCount());
+    for (std::size_t k = 0; k < list_key.size(); ++k)
+        list_key[k] = dbt::pageListKey(mem, img.pageList(k), page_hash);
 
-    std::vector<TransId> record_ids(img.recordCount());
-    for (std::size_t i = 0; i < img.recordCount(); ++i) {
+    // A dense scan of the index: only the records whose key matches
+    // are dereferenced.
+    const std::span<const dbt::ImageRecordRef> index = img.recordIndex();
+    std::vector<TransId> record_ids(index.size());
+    for (std::size_t i = 0; i < index.size(); ++i) {
+        const dbt::ImageRecordRef &ref = index[i];
+        if (ref.pageKey != list_key[ref.pageList]) {
+            ++rep.invalidated;
+            continue;
+        }
+        // The key vouches for the list's pages; the list must also be
+        // exactly the pages this record's code covers.
         const dbt::TransImage::RecordView v = img.record(i);
         const dbt::ImageRecordHeader &rh = *v.hdr;
-
-        std::vector<std::pair<Addr, u64>> pages;
-        for (Addr page : dbt::coveredPages(rh.entryPc, v.x86pcs))
-            pages.emplace_back(page, hashOf(page));
-        std::sort(pages.begin(), pages.end());
-        if (dbt::pageSetKey(pages) != rh.pageKey) {
+        std::vector<Addr> covered = dbt::coveredPages(rh.entryPc,
+                                                      v.x86pcs);
+        std::sort(covered.begin(), covered.end());
+        const std::span<const Addr> list = img.pageList(ref.pageList);
+        if (!std::equal(covered.begin(), covered.end(), list.begin(),
+                        list.end())) {
             ++rep.invalidated;
             continue;
         }

@@ -44,13 +44,14 @@ struct WarmStartReport
  * record's Translation borrows its body and pc table straight from
  * the image (no decode, no copy) and the saved chains are re-bound in
  * one pass over the flat relocation table. Validation is per record
- * against *this* context's guest memory: the record's content address
- * (pageKey) is recomputed from the current page hashes and any
- * mismatch silently falls back cold. The image must outlive the
- * engine (the Vmm holds the generation handle). With an event stream,
- * each install is emitted as a WarmInstall StageEvent (insns =
- * translated x86 instructions), so attached profiling sinks see the
- * warm fill as work.
+ * against *this* context's guest memory: one content address is
+ * computed per distinct page list, and a record installs only if its
+ * stored pageKey matches its list's and the list is exactly the pages
+ * its code covers; anything else silently falls back cold. The image
+ * must outlive the engine (the Vmm holds the generation handle). With
+ * an event stream, each install is emitted as a WarmInstall StageEvent
+ * (insns = translated x86 instructions), so attached profiling sinks
+ * see the warm fill as work.
  */
 WarmStartReport warmStartInstall(const dbt::TransImage &img,
                                  const x86::Memory &mem,

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -54,6 +55,25 @@ ImageClient::connect(const std::string &socket_path)
 }
 
 #ifdef __unix__
+
+namespace
+{
+
+/** fd's object can never change size or content again (sealed). */
+bool
+sealedImmutable(int fd)
+{
+#ifdef F_GET_SEALS
+    constexpr int need = F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_WRITE;
+    const int seals = ::fcntl(fd, F_GET_SEALS);
+    return seals >= 0 && (seals & need) == need;
+#else
+    (void)fd; // no seals on this host: immutability is unprovable
+    return false;
+#endif
+}
+
+} // namespace
 
 bool
 ImageClient::refresh()
@@ -128,6 +148,14 @@ ImageClient::refresh()
             ::close(fd);
             return true; // already mapping this generation
         }
+    }
+
+    // Verifying the image once at connect is only sound if its bytes
+    // cannot change afterwards.
+    if (!sealedImmutable(fd)) {
+        ::close(fd);
+        return failed("refresh: unsealed image fd (needs "
+                      "F_SEAL_SHRINK|F_SEAL_GROW|F_SEAL_WRITE)");
     }
 
     auto img = std::make_shared<dbt::TransImage>();

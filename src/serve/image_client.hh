@@ -11,8 +11,9 @@
  * one interface.
  *
  * Failure policy is fall-back-to-cold: a missing daemon, a refused
- * connection, or a garbled handshake leaves acquire() null and the VM
- * boots cold — serving is an accelerator, never a dependency.
+ * connection, a garbled handshake, or an fd not sealed against
+ * writes and resizes leaves acquire() null and the VM boots cold —
+ * serving is an accelerator, never a dependency.
  */
 
 #ifndef CDVM_SERVE_IMAGE_CLIENT_HH

@@ -20,7 +20,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -176,6 +178,17 @@ struct InstallTarget
     }
 };
 
+/** Re-seal a hand-edited blob: recompute its whole-image checksum. */
+void
+reseal(std::vector<u8> &blob)
+{
+    constexpr std::size_t at = offsetof(dbt::ImageHeader, checksum);
+    const u64 zero = 0;
+    std::memcpy(blob.data() + at, &zero, sizeof zero);
+    const u64 sum = dbt::imageHash(blob);
+    std::memcpy(blob.data() + at, &sum, sizeof sum);
+}
+
 /** Field-by-field Uop equality, the precise-state tag included. */
 bool
 sameUop(const uops::Uop &a, const uops::Uop &b)
@@ -210,7 +223,7 @@ TEST(Image, RoundTripFieldEquality)
         map.forEach([&live](const dbt::Translation &) { ++live; });
         ASSERT_GT(img.recordCount(), 0u);
         ASSERT_EQ(img.recordCount(), live);
-        ASSERT_FALSE(img.pageHashes().empty());
+        ASSERT_GT(img.pageListCount(), 0u);
 
         for (std::size_t i = 0; i < img.recordCount(); ++i) {
             const dbt::TransImage::RecordView v = img.record(i);
@@ -324,16 +337,94 @@ TEST(Image, HeaderAndSectionSanity)
         prevEnd = d.offset + d.bytes;
     }
 
-    // The page index and dedupe index are sorted (binary-searchable).
-    const auto pages = img.pageHashes();
-    for (std::size_t i = 1; i < pages.size(); ++i)
-        EXPECT_LT(pages[i - 1].page, pages[i].page);
+    // Each page list is a strictly ascending run of 4K pages, and the
+    // lists are distinct and in sorted order.
+    for (std::size_t k = 0; k < img.pageListCount(); ++k) {
+        const std::span<const Addr> list = img.pageList(k);
+        ASSERT_FALSE(list.empty()) << k;
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            EXPECT_EQ(list[i] % 4096, 0u) << k;
+            if (i > 0) {
+                EXPECT_LT(list[i - 1], list[i]) << k;
+            }
+        }
+        if (k > 0) {
+            const std::span<const Addr> prev = img.pageList(k - 1);
+            EXPECT_TRUE(std::lexicographical_compare(
+                prev.begin(), prev.end(), list.begin(), list.end()))
+                << k;
+        }
+    }
+    // The dedupe index is sorted (binary-searchable).
     const auto dd = img.dedupeIndex();
     ASSERT_EQ(dd.size(), img.recordCount());
     for (std::size_t i = 1; i < dd.size(); ++i)
         EXPECT_LE(dd[i - 1].key, dd[i].key);
     for (const dbt::ImageDedupeEntry &e : dd)
         EXPECT_LT(e.record, img.recordCount());
+}
+
+TEST(Image, HashGoldenValues)
+{
+    // imageHash is XXH64 with seed 0; these are its reference values
+    // for the bytes i * 131 + 7. Every image hashes with it, so any
+    // change here needs an IMAGE_VERSION bump.
+    const std::pair<std::size_t, u64> golden[] = {
+        {0, 0xEF46DB3751D8E999ull},  {1, 0xA96C7F0CE858BBB7ull},
+        {7, 0x2744460DD675D2C0ull},  {8, 0x994B676B71CE94DDull},
+        {31, 0x6711D55E306B5D8Full}, {32, 0x07F7B8E3BC5D6E25ull},
+        {33, 0x09F85EEB4E1CBE9Full}, {4096, 0xCF05ADF75ACA30CFull},
+    };
+    std::vector<u8> page(4096);
+    for (std::size_t i = 0; i < page.size(); ++i)
+        page[i] = static_cast<u8>(i * 131 + 7);
+    for (const auto &[n, want] : golden) {
+        EXPECT_EQ(dbt::imageHash(std::span<const u8>(page.data(), n)),
+                  want)
+            << "n=" << n;
+    }
+
+    // A guest page hashes exactly its 4K bytes; a hole reads as zeros.
+    x86::Memory mem;
+    mem.writeBlock(0x10000, page);
+    EXPECT_EQ(dbt::guestPageHash(mem, 0x10000), 0xCF05ADF75ACA30CFull);
+    EXPECT_EQ(dbt::guestPageHash(mem, 0x20000),
+              dbt::imageHash(std::vector<u8>(4096, 0)));
+}
+
+TEST(Image, PageListRefsMatchCoveredPages)
+{
+    // Every record's page-list ref is exactly its sorted covered
+    // pages -- in a capture, in a merge of two classes, and after
+    // eviction -- and every list is used by some record.
+    const dbt::TransImage iA = capturedImage(testProgram(7));
+    const dbt::TransImage iB = capturedImage(testProgram(8));
+    dbt::ImageBuilder merge;
+    merge.add(iA);
+    merge.add(iB);
+    const dbt::TransImage merged = adopted(merge.build());
+    dbt::ImageBuilder small(
+        dbt::ImageBuilder::Options{merged.sizeBytes() / 3, 1});
+    small.add(merged);
+    const dbt::TransImage evicted = adopted(small.build());
+    ASSERT_GT(small.evicted(), 0u);
+
+    for (const dbt::TransImage *img : {&iA, &merged, &evicted}) {
+        std::vector<bool> used(img->pageListCount(), false);
+        for (std::size_t i = 0; i < img->recordCount(); ++i) {
+            const dbt::TransImage::RecordView v = img->record(i);
+            std::vector<Addr> want =
+                dbt::coveredPages(v.hdr->entryPc, v.x86pcs);
+            std::sort(want.begin(), want.end());
+            const u32 list = img->recordIndex()[i].pageList;
+            const std::span<const Addr> got = img->pageList(list);
+            EXPECT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                                   got.end()))
+                << i;
+            used[list] = true;
+        }
+        EXPECT_EQ(std::count(used.begin(), used.end(), false), 0);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -385,9 +476,25 @@ TEST(Image, TrailingBytesRejected)
 TEST(Image, BitFlipSweepTyped)
 {
     const std::vector<u8> blob = blobOf(capturedImage(testProgram()));
+    ASSERT_GT(blob.size(), 2 * sizeof(dbt::ImageHeader));
 
+    // A strided sweep over the whole blob, plus every byte of the
+    // header, of one full 32-byte hash stripe mid-image and of the
+    // last 64 bytes: a dropped hash lane or an unhashed tail shows up
+    // even where the stride steps over it.
+    std::vector<std::size_t> positions;
     const std::size_t step = std::max<std::size_t>(1, blob.size() / 61);
-    for (std::size_t pos = 0; pos < blob.size(); pos += step) {
+    for (std::size_t pos = 0; pos < blob.size(); pos += step)
+        positions.push_back(pos);
+    auto every = [&positions](std::size_t from, std::size_t n) {
+        for (std::size_t pos = from; pos < from + n; ++pos)
+            positions.push_back(pos);
+    };
+    every(0, sizeof(dbt::ImageHeader));
+    every(blob.size() / 2 & ~std::size_t{31}, 32);
+    every(blob.size() - 64, 64);
+
+    for (std::size_t pos : positions) {
         std::vector<u8> bad = blob;
         bad[pos] ^= 0x40;
         dbt::TransImage out;
@@ -408,11 +515,17 @@ TEST(Image, BitFlipSweepTyped)
 
 TEST(Image, FutureVersionsRejected)
 {
-    std::vector<u8> blob = blobOf(capturedImage(testProgram()));
-    blob[8] = 0x7F; // ImageHeader::version low byte
-    dbt::TransImage out;
-    EXPECT_EQ(dbt::TransImage::adopt(blob, out),
-              dbt::LoadError::BadVersion);
+    // Any other version is refused before its checksum is looked at:
+    // a future one, and the previous format (v2), which is rebuilt,
+    // never migrated.
+    for (u8 version : {u8{0x7F}, u8{2}}) {
+        std::vector<u8> blob = blobOf(capturedImage(testProgram()));
+        blob[8] = version; // ImageHeader::version low byte
+        dbt::TransImage out;
+        EXPECT_EQ(dbt::TransImage::adopt(blob, out),
+                  dbt::LoadError::BadVersion)
+            << int{version};
+    }
 }
 
 TEST(Image, CorruptFileFallsBackCold)
@@ -466,6 +579,53 @@ TEST(Image, StalePageHashInvalidation)
     EXPECT_EQ(st.warmInstalled + st.warmInvalidated, st.warmLoaded);
     EXPECT_EQ(st.warmBodyCopies, 0u);
     std::remove(path.c_str());
+}
+
+TEST(Image, MismatchedPageListFallsBackCold)
+{
+    // A checksum-valid image where two records trade their (pageKey,
+    // page list) refs: each key still matches its list, but neither
+    // list is the pages the record's code covers, so both records
+    // fall back cold and everything else installs. The program spans
+    // several code pages, so its records use more than one list.
+    workload::ProgramParams pp;
+    pp.seed = 7;
+    pp.numFuncs = 24;
+    pp.mainIterations = 1;
+    pp.loopTripMax = 4;
+    const workload::Program prog = workload::generateProgram(pp);
+    std::vector<u8> blob = blobOf(capturedImage(prog));
+    const dbt::TransImage img = adopted(blob);
+    const std::span<const dbt::ImageRecordRef> index = img.recordIndex();
+    std::size_t b = 1;
+    while (b < index.size() && index[b].pageList == index[0].pageList)
+        ++b;
+    ASSERT_LT(b, index.size());
+    dbt::ImageRecordRef r0 = index[0], rb = index[b];
+    std::swap(r0.pageKey, rb.pageKey);
+    std::swap(r0.pageList, rb.pageList);
+    const u64 at = img.header()
+                       .sections[static_cast<u32>(
+                           dbt::ImageSection::RecordIndex)]
+                       .offset;
+    std::memcpy(blob.data() + at, &r0, sizeof r0);
+    std::memcpy(blob.data() + at + b * sizeof rb, &rb, sizeof rb);
+    reseal(blob);
+    auto bad = std::make_shared<dbt::TransImage>(adopted(blob));
+
+    InstallTarget t(prog);
+    const engine::WarmStartReport rep =
+        engine::warmStartInstall(*bad, t.mem, t.ccm, t.prof);
+    EXPECT_EQ(rep.invalidated, 2u);
+    EXPECT_EQ(rep.installed, bad->recordCount() - 2);
+
+    x86::Memory mem, ref_mem;
+    vmm::VmmStats st;
+    const RunResult got = runWarm(
+        prog, mem, cfgSoft(), std::make_shared<dbt::ImageStore>(bad), &st);
+    const RunResult ref = runInterp(prog, ref_mem);
+    EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
+    EXPECT_EQ(st.warmInvalidated, 2u);
 }
 
 TEST(Image, DedupeAcrossContexts)

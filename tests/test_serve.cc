@@ -14,8 +14,8 @@
  * client endpoint warm-boots zero-copy and retires identically to the
  * interpreter. Publishing a new generation never invalidates a held
  * one (kernel-side lifetime). Failure policy is fall-back-to-cold:
- * a missing daemon or a garbled handshake leaves acquire() null and
- * the VM boots cold, never crashes.
+ * a missing daemon, a garbled handshake or an unsealed image fd
+ * leaves acquire() null and the VM boots cold, never crashes.
  *
  * Durability: the atomic save path (temp + fsync + rename) never
  * exposes a torn file to a concurrent reader, and I/O failures carry
@@ -39,8 +39,10 @@
 #include "helpers.hh"
 #include "serve/image_client.hh"
 #include "serve/image_host.hh"
+#include "serve/protocol.hh"
 
 #ifdef __unix__
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -408,22 +410,35 @@ TEST(Serve, DaemonAbsentFallsBackCold)
     expectWarmBootMatches(prog, ref, ref_mem, client, false);
 }
 
+/** A listening Unix socket at sock for a fake daemon (-1 on error). */
+int
+fakeDaemonSocket(const std::string &sock)
+{
+    std::remove(sock.c_str());
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (sock.size() >= sizeof addr.sun_path)
+        return -1;
+    std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (lfd < 0)
+        return -1;
+    if (::bind(lfd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) !=
+            0 ||
+        ::listen(lfd, 1) != 0) {
+        ::close(lfd);
+        return -1;
+    }
+    return lfd;
+}
+
 TEST(Serve, GarbledHandshakeFallsBackCold)
 {
     const std::string sock = tempPath("serve_garbled.sock");
-    std::remove(sock.c_str());
 
     // A fake daemon that accepts and answers with garbage.
-    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int lfd = fakeDaemonSocket(sock);
     ASSERT_GE(lfd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    ASSERT_LT(sock.size(), sizeof addr.sun_path);
-    std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
-    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr),
-                     sizeof addr),
-              0);
-    ASSERT_EQ(::listen(lfd, 1), 0);
     std::thread fake([lfd] {
         const int c = ::accept(lfd, nullptr, nullptr);
         if (c >= 0) {
@@ -444,6 +459,58 @@ TEST(Serve, GarbledHandshakeFallsBackCold)
     ::close(lfd);
     std::remove(sock.c_str());
 }
+
+#ifdef MFD_ALLOW_SEALING
+
+TEST(Serve, UnsealedImageFdFallsBackCold)
+{
+    // A fake daemon that answers the handshake correctly but passes a
+    // valid image in an UNSEALED memfd: its bytes could change after
+    // the client verified them, so the client must not map it.
+    workload::Program prog = testProgram(37);
+    const std::vector<u8> blob = builtImage(capturedImage(prog));
+    const int mfd = ::memfd_create("cdvm-unsealed", MFD_CLOEXEC);
+    ASSERT_GE(mfd, 0);
+    ASSERT_EQ(::write(mfd, blob.data(), blob.size()),
+              static_cast<ssize_t>(blob.size()));
+
+    const std::string sock = tempPath("serve_unsealed.sock");
+    const int lfd = fakeDaemonSocket(sock);
+    ASSERT_GE(lfd, 0);
+    std::thread fake([lfd, mfd, bytes = blob.size()] {
+        const int c = ::accept(lfd, nullptr, nullptr);
+        if (c < 0)
+            return;
+        serve::ImageRequest req;
+        int no_fd = -1;
+        if (serve::recvWithFd(c, &req, sizeof req, &no_fd)) {
+            serve::ImageReply rep;
+            rep.status = static_cast<u32>(serve::ReplyStatus::Image);
+            rep.generation = 1;
+            rep.imageBytes = bytes;
+            serve::sendWithFd(c, &rep, sizeof rep, mfd);
+        }
+        if (no_fd >= 0)
+            ::close(no_fd);
+        ::close(c);
+    });
+
+    auto client = std::make_shared<serve::ImageClient>();
+    EXPECT_FALSE(client->connect(sock));
+    EXPECT_EQ(client->acquire(), nullptr);
+    EXPECT_NE(client->lastError().find("unsealed"), std::string::npos)
+        << client->lastError();
+    fake.join();
+    ::close(lfd);
+    ::close(mfd);
+    std::remove(sock.c_str());
+
+    x86::Memory ref_mem;
+    const RunResult ref = runInterp(prog, ref_mem);
+    expectWarmBootMatches(prog, ref, ref_mem, client, false);
+}
+
+#endif // MFD_ALLOW_SEALING
 
 #endif // __unix__
 
