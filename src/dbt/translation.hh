@@ -193,7 +193,11 @@ struct Translation
         return NO_TRANS;
     }
 
-    /** Install a chain to a successor; returns false if no slot. */
+    /**
+     * Link the exit to pc to a successor. Returns true only when that
+     * created or retargeted a link: false when the exit already links
+     * to `to`, or when both slots hold other exits.
+     */
     bool
     addChain(Addr pc, TransId to)
     {
@@ -204,6 +208,8 @@ struct Translation
                 return true;
             }
             if (c.targetPc == pc) {
+                if (c.to == to)
+                    return false;
                 c.to = to;
                 return true;
             }

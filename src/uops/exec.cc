@@ -5,6 +5,7 @@
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "uops/csr.hh"
+#include "x86/flags.hh"
 
 namespace cdvm::uops
 {
@@ -48,11 +49,10 @@ UopExecutor::effAddr(const Uop &u) const
     return a;
 }
 
-UopExecutor::Outcome
-UopExecutor::exec(const Uop &u)
+[[gnu::always_inline]] inline UopExecutor::Outcome
+UopExecutor::step(const Uop &u)
 {
     Outcome out;
-    ++st.uopCount;
 
     auto setArith = [&](u32 f) {
         st.eflags = (st.eflags & ~FLAG_ALL) | (f & FLAG_ALL);
@@ -382,12 +382,18 @@ UopExecutor::exec(const Uop &u)
     return out;
 }
 
+UopExecutor::Outcome
+UopExecutor::exec(const Uop &u)
+{
+    return step(u);
+}
+
 BlockResult
 UopExecutor::run(std::span<const Uop> uops, Addr fallthrough)
 {
     BlockResult res;
     for (std::size_t i = 0; i < uops.size(); ++i) {
-        Outcome o = exec(uops[i]);
+        Outcome o = step(uops[i]);
         ++res.uopsRun;
         if (o.fault) {
             res.exit = BlockExit::Fault;

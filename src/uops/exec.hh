@@ -48,7 +48,6 @@ struct UState
     u32 eflags = 0x202;
     std::array<std::array<u8, 16>, 32> fregs{}; //!< 128-bit F registers
     u32 csr = 0;
-    InstCount uopCount = 0;
 
     /** Import architected state from an x86 CpuState (R0..R7, flags). */
     void loadArch(const x86::CpuState &cpu);
@@ -108,6 +107,9 @@ class UopExecutor
     Outcome exec(const Uop &u);
 
   private:
+    /** exec's body; force-inlined into run so Outcome stays in
+     *  registers across a block. */
+    Outcome step(const Uop &u);
     u32 readSized(u8 reg, unsigned size) const;
     Addr effAddr(const Uop &u) const;
 

@@ -437,6 +437,9 @@ Vmm::runLoop(x86::CpuState &cpu, InstCount max_insns)
 
         // Chaining: link the executed translation to the successor it
         // actually went to, so the next visit skips the lookup table.
+        // The lookup runs on every exit, so a link moves to a newly
+        // installed superblock; only a created or retargeted link is
+        // counted and traced.
         if (cfg.enableChaining) {
             Translation *succ = ccm.lookup(cpu.eip);
             if (succ && executed->addChain(cpu.eip, succ->id)) {
@@ -485,7 +488,7 @@ Vmm::exportCoreStats(StatRegistry &reg) const
     set("vmm.chain.follows", st.chainFollows,
         "dispatches short-circuited by chaining");
     set("vmm.chain.installs", st.chainsInstalled,
-        "chain links installed between translations");
+        "chain links created or retargeted between translations");
     const u64 decisions = st.chainFollows + st.dispatches;
     reg.set("vmm.chain.coverage",
             decisions ? static_cast<double>(st.chainFollows) /

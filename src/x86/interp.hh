@@ -10,7 +10,8 @@
  *
  * Flags that real x86 leaves architecturally undefined (e.g. ZF/SF/PF
  * after IMUL) are given fixed, documented values so that differential
- * tests are exact; the micro-op executor implements the same choices.
+ * tests are exact; the micro-op executor shares them through
+ * x86/flags.hh.
  */
 
 #ifndef CDVM_X86_INTERP_HH
@@ -89,9 +90,8 @@ struct StepResult
 class DecodeCache;
 
 /**
- * Interpreter over a CpuState and a Memory. Also exposes the
- * instruction-execution core so the micro-op layer can reuse the exact
- * flag semantics.
+ * Interpreter over a CpuState and a Memory. Its flag semantics live
+ * in x86/flags.hh, shared with the micro-op executor.
  *
  * An optional DecodeCache memoizes the fetch+decode half of step();
  * execution semantics are identical with or without it (the cache is
@@ -127,68 +127,6 @@ class Interpreter
     Memory &mem;
     DecodeCache *dcache; //!< optional decoded-instruction cache
 };
-
-/**
- * Flag-computation helpers shared verbatim by the interpreter and the
- * micro-op executor so that translated code matches the golden model
- * bit-for-bit.
- */
-namespace flags
-{
-
-/** Flags after an addition (with optional carry-in), at size bytes. */
-u32 add(u32 a, u32 b, u32 carry_in, unsigned size, u32 &result);
-/** Flags after a subtraction a - b - borrow_in, at size bytes. */
-u32 sub(u32 a, u32 b, u32 borrow_in, unsigned size, u32 &result);
-/** Flags after a bitwise logical op whose result is given. */
-u32 logic(u32 result, unsigned size);
-/** ZF/SF/PF for a result (used by INC/DEC merge and shifts). */
-u32 zsp(u32 result, unsigned size);
-/** Truncate v to size bytes. */
-u32 trunc(u32 v, unsigned size);
-/** Sign bit of v at size bytes. */
-bool signBit(u32 v, unsigned size);
-
-/** Result of a shift/rotate: value plus the complete new EFLAGS. */
-struct ShiftResult
-{
-    u32 result;
-    u32 eflags; //!< full replacement arithmetic-flag set
-};
-
-/**
- * Execute a shift or rotate (Op::Shl/Shr/Sar/Rol/Ror) with exact x86
- * flag semantics. count is already masked to 5 bits; count == 0
- * returns the inputs unchanged.
- */
-ShiftResult shift(Op op, u32 a, u32 count, unsigned size, u32 old_eflags);
-
-/** Widening multiply outcome. */
-struct WideMul
-{
-    u32 lo;
-    u32 hi;
-    u32 flags; //!< arithmetic flags (CF/OF on overflow + deterministic ZSP)
-};
-
-/** EDX:EAX-style widening multiply at size bytes. */
-WideMul mulWide(bool is_signed, u32 a, u32 b, unsigned size);
-
-/** Widening divide outcome. */
-struct WideDiv
-{
-    u32 quot;
-    u32 rem;
-    bool fault; //!< divide by zero or quotient overflow
-};
-
-/** EDX:EAX-style divide at size bytes; hi:lo / b. */
-WideDiv divWide(bool is_signed, u32 hi, u32 lo, u32 b, unsigned size);
-
-/** Truncating signed multiply (IMUL r, r/m) with flag computation. */
-u32 imulTrunc(u32 a, u32 b, unsigned size, u32 &flags_out);
-
-} // namespace flags
 
 } // namespace cdvm::x86
 

@@ -1,25 +1,70 @@
 #include "x86/memory.hh"
 
 #include <cstring>
+#include <utility>
 
 namespace cdvm::x86
 {
 
-Memory::Page *
-Memory::getPage(Addr a)
+Memory::Memory(const Memory &o)
+    : pages(o.pages), written(o.written), codeVer(o.codeVer)
 {
-    Addr key = a >> PAGE_SHIFT;
-    auto it = pages.find(key);
+}
+
+Memory &
+Memory::operator=(const Memory &o)
+{
+    if (this != &o) {
+        clearCache(); // before the map drops the nodes it points to
+        pages = o.pages;
+        written = o.written;
+        codeVer = o.codeVer;
+    }
+    return *this;
+}
+
+Memory::Memory(Memory &&o) noexcept
+    : pages(std::move(o.pages)), written(o.written), codeVer(o.codeVer)
+{
+    o.pages.clear();
+    o.clearCache();
+}
+
+Memory &
+Memory::operator=(Memory &&o) noexcept
+{
+    if (this != &o) {
+        clearCache();
+        pages = std::move(o.pages);
+        written = o.written;
+        codeVer = o.codeVer;
+        o.pages.clear();
+        o.clearCache();
+    }
+    return *this;
+}
+
+Memory::Page *
+Memory::getPageSlow(Addr pn)
+{
+    auto it = pages.find(pn);
     if (it == pages.end())
-        it = pages.emplace(key, Page(PAGE_SIZE)).first;
+        it = pages.emplace(pn, Page(PAGE_SIZE)).first;
+    cache[pn & (CACHE_LINES - 1)] = CacheLine{pn, &it->second};
     return &it->second;
 }
 
 const Memory::Page *
-Memory::findPage(Addr a) const
+Memory::findPageSlow(Addr pn) const
 {
-    auto it = pages.find(a >> PAGE_SHIFT);
-    return it == pages.end() ? nullptr : &it->second;
+    auto it = pages.find(pn);
+    if (it == pages.end())
+        return nullptr; // holes are never cached
+    // The map is not const, only this view of it: caching a mutable
+    // pointer lets getPage share the line.
+    Page *p = const_cast<Page *>(&it->second);
+    cache[pn & (CACHE_LINES - 1)] = CacheLine{pn, p};
+    return p;
 }
 
 u8
@@ -32,6 +77,14 @@ Memory::read8(Addr a) const
 u16
 Memory::read16(Addr a) const
 {
+    // Fast path: fully inside one page.
+    const Page *p = findPage(a);
+    Addr off = a & (PAGE_SIZE - 1);
+    if (p && off + 2 <= PAGE_SIZE) {
+        u16 v;
+        std::memcpy(&v, p->bytes.data() + off, 2);
+        return v;
+    }
     return static_cast<u16>(read8(a) | (read8(a + 1) << 8));
 }
 
@@ -61,6 +114,14 @@ Memory::write8(Addr a, u8 v)
 void
 Memory::write16(Addr a, u16 v)
 {
+    Page *p = getPage(a);
+    Addr off = a & (PAGE_SIZE - 1);
+    if (off + 2 <= PAGE_SIZE) {
+        noteWrite(*p);
+        std::memcpy(p->bytes.data() + off, &v, 2);
+        written += 2;
+        return;
+    }
     write8(a, static_cast<u8>(v));
     write8(a + 1, static_cast<u8>(v >> 8));
 }

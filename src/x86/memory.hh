@@ -6,11 +6,17 @@
  * Both the architected program image and the VMM's concealed code-cache
  * region live in the same Memory object, matching the paper's framing
  * of the code cache as a hidden area of main memory.
+ *
+ * A small direct-mapped page cache sits in front of the page map, so a
+ * guest load or store usually costs one array probe instead of a hash
+ * lookup. Const reads fill that cache too: only one thread may read a
+ * given Memory at a time, as only one may write it.
  */
 
 #ifndef CDVM_X86_MEMORY_HH
 #define CDVM_X86_MEMORY_HH
 
+#include <array>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -27,6 +33,14 @@ class Memory
   public:
     static constexpr unsigned PAGE_SHIFT = 12;
     static constexpr Addr PAGE_SIZE = Addr{1} << PAGE_SHIFT;
+
+    Memory() = default;
+    /** A copy owns its own pages; its page cache starts empty. */
+    Memory(const Memory &o);
+    Memory &operator=(const Memory &o);
+    /** The moved-from Memory is left empty, its page cache too. */
+    Memory(Memory &&o) noexcept;
+    Memory &operator=(Memory &&o) noexcept;
 
     u8 read8(Addr a) const;
     u16 read16(Addr a) const;
@@ -81,8 +95,40 @@ class Memory
         /** Served instruction fetches (set from const fetch paths). */
         mutable bool code = false;
     };
-    Page *getPage(Addr a);
-    const Page *findPage(Addr a) const;
+
+    /**
+     * One page-cache line. It only ever names an allocated page (a
+     * hole is never cached, so a write that creates the page is seen),
+     * and map nodes never move, so the pointer stays valid until the
+     * map itself is replaced by a copy or move.
+     */
+    struct CacheLine
+    {
+        Addr pageNum = NO_PAGE;
+        Page *page = nullptr;
+    };
+    static constexpr Addr NO_PAGE = ~Addr{0};
+    static constexpr unsigned CACHE_LINES = 64;
+
+    /** Allocated page holding a (creating it if needed). */
+    Page *
+    getPage(Addr a)
+    {
+        const Addr pn = a >> PAGE_SHIFT;
+        const CacheLine &l = cache[pn & (CACHE_LINES - 1)];
+        return l.pageNum == pn ? l.page : getPageSlow(pn);
+    }
+    /** Page holding a, or null for a hole. */
+    const Page *
+    findPage(Addr a) const
+    {
+        const Addr pn = a >> PAGE_SHIFT;
+        const CacheLine &l = cache[pn & (CACHE_LINES - 1)];
+        return l.pageNum == pn ? l.page : findPageSlow(pn);
+    }
+    Page *getPageSlow(Addr pn);
+    const Page *findPageSlow(Addr pn) const;
+    void clearCache() { cache.fill(CacheLine{}); }
     /** Bump codeVersion when writing into a code page. */
     void
     noteWrite(const Page &p)
@@ -94,6 +140,7 @@ class Memory
     std::unordered_map<Addr, Page> pages;
     u64 written = 0;
     u64 codeVer = 0;
+    mutable std::array<CacheLine, CACHE_LINES> cache;
 };
 
 } // namespace cdvm::x86

@@ -3,10 +3,12 @@
  * Host fast-path tests: the flat translation table (tortured against a
  * std::unordered_map oracle), the dispatch lookaside cache's epoch
  * invalidation, the decoded-instruction cache's coherence with guest
- * code writes, and the fast-vs-legacy dispatch differential.
+ * code writes, the guest page cache in front of Memory's page map, and
+ * the fast-vs-legacy dispatch differential.
  */
 
 #include <array>
+#include <cstring>
 #include <random>
 #include <unordered_map>
 
@@ -160,6 +162,166 @@ TEST(DecodeCache, InterpreterSeesCodeRewrite)
         EXPECT_EQ(interp.run(100), Exit::Halted);
     }
     EXPECT_EQ(cpu.regs[EAX], 9u);
+}
+
+// --- guest page cache --------------------------------------------------
+
+// Two pages this far apart share a line in any direct-mapped page
+// cache of up to 64 K lines.
+constexpr Addr ALIAS_STRIDE = Addr{1} << 28;
+
+TEST(PageCache, HoleReadsZeroThenSeesTheWrite)
+{
+    Memory mem;
+    const Addr a = 0x00400000;
+    // Warm a line with a real page, then read a hole that maps to the
+    // same line: the hole must read zero and must not be cached.
+    mem.write32(a, 0x11223344);
+    EXPECT_EQ(mem.read32(a + ALIAS_STRIDE), 0u);
+    EXPECT_EQ(mem.read16(a + ALIAS_STRIDE + 2), 0u);
+    EXPECT_EQ(mem.read8(a + ALIAS_STRIDE + 7), 0u);
+    EXPECT_EQ(mem.numPages(), 1u);
+
+    mem.write32(a + ALIAS_STRIDE, 0xcafef00d);
+    EXPECT_EQ(mem.read32(a + ALIAS_STRIDE), 0xcafef00du);
+    EXPECT_EQ(mem.read32(a), 0x11223344u);
+    EXPECT_EQ(mem.read32(a + ALIAS_STRIDE), 0xcafef00du);
+    EXPECT_EQ(mem.numPages(), 2u);
+
+    // A hole read first, then written through write8 alone.
+    const Addr b = 0x00900000;
+    EXPECT_EQ(mem.read8(b), 0u);
+    mem.write8(b, 0x5a);
+    EXPECT_EQ(mem.read8(b), 0x5au);
+}
+
+TEST(PageCache, CachedCodePageWritesBumpCodeVersion)
+{
+    Memory mem;
+    const Addr code = 0x1000;
+    Assembler as(code);
+    as.movRI(EAX, 1);
+    as.hlt();
+    mem.writeBlock(code, as.finalize());
+    // Warm the line through the write path, then mark the page as
+    // code: the cached line and the fetch path must share one page.
+    mem.write32(code + 0x100, 0);
+    u8 window[16];
+    ASSERT_TRUE(mem.fetchCode(code, window, sizeof(window)));
+
+    u64 ver = mem.codeVersion();
+    mem.write8(code + 0x200, 1);
+    EXPECT_GT(mem.codeVersion(), ver);
+    ver = mem.codeVersion();
+    mem.write16(code + 0x202, 2);
+    EXPECT_GT(mem.codeVersion(), ver);
+    ver = mem.codeVersion();
+    mem.write32(code + 0x204, 3);
+    EXPECT_GT(mem.codeVersion(), ver);
+
+    // A data page sharing the code page's line does not bump it.
+    ver = mem.codeVersion();
+    mem.write32(code + ALIAS_STRIDE, 4);
+    EXPECT_EQ(mem.codeVersion(), ver);
+    mem.write32(code + 0x208, 5); // back to the code page
+    EXPECT_GT(mem.codeVersion(), ver);
+
+    // The DecodeCache contract end to end: a cached decode is dropped.
+    DecodeCache dc(64);
+    ASSERT_TRUE(dc.fetchDecode(mem, code).ok);
+    ASSERT_TRUE(dc.fetchDecode(mem, code).ok);
+    Assembler as2(code);
+    as2.movRI(EAX, 0x77);
+    std::vector<u8> patch = as2.finalize();
+    u32 imm;
+    std::memcpy(&imm, patch.data() + 1, 4);
+    mem.write32(code + 1, imm);
+    const DecodeResult &dr = dc.fetchDecode(mem, code);
+    ASSERT_TRUE(dr.ok);
+    EXPECT_EQ(dr.insn.src.imm, 0x77);
+}
+
+TEST(PageCache, AccessesStraddlingAPageBoundary)
+{
+    const Addr edge = 0x00600000; // start of the second page
+    for (Addr back = 1; back <= 3; ++back) {
+        // Both pages allocated.
+        Memory mem;
+        mem.write8(edge - 8, 0);
+        mem.write8(edge + 8, 0);
+        mem.write32(edge - back, 0xa1b2c3d4);
+        EXPECT_EQ(mem.read32(edge - back), 0xa1b2c3d4u) << back;
+        mem.write16(edge - 1, 0xbeef);
+        EXPECT_EQ(mem.read16(edge - 1), 0xbeefu);
+        EXPECT_EQ(mem.read8(edge - 1), 0xefu);
+        EXPECT_EQ(mem.read8(edge), 0xbeu);
+
+        // The second page is a hole: reads see zero high bytes, and a
+        // straddling write creates it.
+        Memory holes;
+        holes.write8(edge - 8, 0);
+        holes.write32(edge - 4, 0x01020304);
+        EXPECT_EQ(holes.read32(edge - back),
+                  0x01020304u >> (8 * (4 - back))) << back;
+        EXPECT_EQ(holes.read16(edge - 1), 0x01u);
+        holes.write16(edge - 1, 0x5566);
+        EXPECT_EQ(holes.numPages(), 2u);
+        EXPECT_EQ(holes.read16(edge - 1), 0x5566u);
+        holes.write32(edge + Memory::PAGE_SIZE - back, 0x99887766);
+        EXPECT_EQ(holes.numPages(), 3u);
+        EXPECT_EQ(holes.read32(edge + Memory::PAGE_SIZE - back),
+                  0x99887766u) << back;
+        EXPECT_EQ(holes.bytesWritten(), 1u + 4u + 2u + 4u);
+    }
+}
+
+TEST(PageCache, CopiesKeepTheirWritesApart)
+{
+    Memory src;
+    src.write32(0x2000, 1);
+    src.write32(0x3000, 2);
+    EXPECT_EQ(src.read32(0x2000), 1u); // warm the cache
+
+    Memory copy(src);
+    EXPECT_EQ(copy.read32(0x2000), 1u); // warm the copy's cache
+    copy.write32(0x2000, 10);
+    src.write32(0x3000, 20);
+    EXPECT_EQ(src.read32(0x2000), 1u);
+    EXPECT_EQ(copy.read32(0x3000), 2u);
+    EXPECT_EQ(copy.read32(0x2000), 10u);
+    EXPECT_EQ(src.read32(0x3000), 20u);
+
+    Memory assigned;
+    assigned.write32(0x2000, 99);
+    EXPECT_EQ(assigned.read32(0x2000), 99u); // warm before assignment
+    assigned = src;
+    EXPECT_EQ(assigned.read32(0x2000), 1u);
+    assigned.write32(0x2000, 30);
+    src.write32(0x2000, 40);
+    EXPECT_EQ(assigned.read32(0x2000), 30u);
+    EXPECT_EQ(src.read32(0x2000), 40u);
+    EXPECT_EQ(assigned.read32(0x3000), 20u);
+    EXPECT_EQ(copy.read32(0x2000), 10u);
+}
+
+TEST(PageCache, MoveLeavesTheSourceEmpty)
+{
+    Memory src;
+    src.write32(0x2000, 7);
+    EXPECT_EQ(src.read32(0x2000), 7u);
+    Memory moved(std::move(src));
+    EXPECT_EQ(moved.read32(0x2000), 7u);
+    EXPECT_EQ(src.numPages(), 0u);
+    EXPECT_EQ(src.read32(0x2000), 0u);
+    src.write32(0x2000, 8);
+    EXPECT_EQ(moved.read32(0x2000), 7u);
+
+    Memory target;
+    target.write32(0x2000, 9);
+    EXPECT_EQ(target.read32(0x2000), 9u);
+    target = std::move(moved);
+    EXPECT_EQ(target.read32(0x2000), 7u);
+    EXPECT_EQ(moved.read32(0x2000), 0u);
 }
 
 // --- dispatch lookaside ----------------------------------------------

@@ -1,9 +1,13 @@
 /** @file Interpreter semantics: flags, partial registers, stack ops. */
 
+#include <bit>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "helpers.hh"
 #include "x86/asm.hh"
+#include "x86/flags.hh"
 #include "x86/interp.hh"
 
 namespace cdvm::x86
@@ -254,6 +258,197 @@ TEST(Interp, CondBranchMatrix)
             bool expect = condTrue(static_cast<Cond>(cc), ref.eflags);
             EXPECT_EQ(m.cpu.regs[EDX], expect ? 1u : 0u)
                 << "cc=" << cc << " a=" << c.a << " b=" << c.b;
+        }
+    }
+}
+
+// --- flag helpers against a wide-arithmetic reference -------------------
+//
+// Each reference computes the result in 64-bit arithmetic and reads
+// every flag off it directly, independently of how flags.hh derives
+// them. The undefined cases (shift OF for counts above 1, counts at or
+// past the operand width) follow the same formulas as the defined ones.
+
+u32
+mask(unsigned size)
+{
+    return size == 4 ? 0xffffffffu : (1u << (size * 8)) - 1;
+}
+
+i64
+signedAt(u32 v, unsigned size)
+{
+    const unsigned n = size * 8;
+    const i64 x = v & mask(size);
+    return x >= (i64{1} << (n - 1)) ? x - (i64{1} << n) : x;
+}
+
+u32
+refZsp(u32 r, unsigned size)
+{
+    u32 f = 0;
+    if (r == 0)
+        f |= FLAG_ZF;
+    if (r >> (size * 8 - 1))
+        f |= FLAG_SF;
+    if (std::popcount(r & 0xff) % 2 == 0)
+        f |= FLAG_PF;
+    return f;
+}
+
+struct RefResult
+{
+    u32 result;
+    u32 flags;
+};
+
+RefResult
+refAddSub(bool is_sub, u32 a, u32 b, u32 c, unsigned size)
+{
+    a &= mask(size);
+    b &= mask(size);
+    const i64 lo = -(i64{1} << (size * 8 - 1));
+    const i64 hi = (i64{1} << (size * 8 - 1)) - 1;
+    const i64 wide = is_sub ? i64{a} - b - c : i64{a} + b + c;
+    const i64 swide = is_sub ? signedAt(a, size) - signedAt(b, size) - c
+                             : signedAt(a, size) + signedAt(b, size) + c;
+    const u32 r = static_cast<u32>(wide) & mask(size);
+    u32 f = refZsp(r, size);
+    if (wide < 0 || wide > i64{mask(size)})
+        f |= FLAG_CF;
+    if (swide < lo || swide > hi)
+        f |= FLAG_OF;
+    if ((a ^ b ^ r) & 0x10) // carry or borrow into bit 4
+        f |= FLAG_AF;
+    return {r, f};
+}
+
+RefResult
+refShift(Op op, u32 a, u32 count, unsigned size, u32 old)
+{
+    const unsigned n = size * 8;
+    const u64 v = a & mask(size);
+    count &= 0x1f;
+    if (count == 0)
+        return {static_cast<u32>(v), old};
+    u64 r = 0;
+    bool cf = false, of = false;
+    switch (op) {
+      case Op::Shl: {
+        const u64 wide = v << count; // bit n is the last bit out
+        r = wide & mask(size);
+        cf = (wide >> n) & 1;
+        of = cf != ((r >> (n - 1)) & 1);
+        break;
+      }
+      case Op::Shr:
+        r = v >> count;
+        cf = (v >> (count - 1)) & 1;
+        of = (v >> (n - 1)) & 1;
+        break;
+      case Op::Sar: {
+        const i64 s = signedAt(static_cast<u32>(v), size);
+        r = static_cast<u64>(s >> count) & mask(size);
+        cf = (s >> (count - 1)) & 1;
+        break;
+      }
+      case Op::Rol:
+      case Op::Ror: {
+        // Rotate through a doubled copy of the operand.
+        const unsigned c = count % n;
+        const u64 twice = (v << n) | v;
+        r = (op == Op::Rol ? twice >> (n - c) : twice >> c) & mask(size);
+        const bool msb = (r >> (n - 1)) & 1;
+        cf = op == Op::Rol ? (r & 1) : msb;
+        of = op == Op::Rol ? cf != msb : msb != ((r >> (n - 2)) & 1);
+        break;
+      }
+      default:
+        break;
+    }
+    u32 f = op == Op::Rol || op == Op::Ror
+                ? old & (FLAG_ZF | FLAG_SF | FLAG_PF | FLAG_AF)
+                : refZsp(static_cast<u32>(r), size);
+    if (cf)
+        f |= FLAG_CF;
+    if (of)
+        f |= FLAG_OF;
+    return {static_cast<u32>(r), f};
+}
+
+constexpr Op SHIFT_OPS[] = {Op::Shl, Op::Shr, Op::Sar, Op::Rol, Op::Ror};
+// Old EFLAGS for shifts: none set, and every arithmetic flag set.
+constexpr u32 OLD_FLAGS[] = {0, FLAG_ALL};
+
+TEST(Flags, AddSubEveryByteOperandPair)
+{
+    for (u32 a = 0; a < 256; ++a) {
+        for (u32 b = 0; b < 256; ++b) {
+            for (u32 c = 0; c < 2; ++c) {
+                u32 r;
+                const RefResult add = refAddSub(false, a, b, c, 1);
+                ASSERT_EQ(flags::add(a, b, c, 1, r), add.flags)
+                    << a << "+" << b << "+" << c;
+                ASSERT_EQ(r, add.result);
+                const RefResult sub = refAddSub(true, a, b, c, 1);
+                ASSERT_EQ(flags::sub(a, b, c, 1, r), sub.flags)
+                    << a << "-" << b << "-" << c;
+                ASSERT_EQ(r, sub.result);
+            }
+        }
+    }
+}
+
+TEST(Flags, LogicEveryByteResult)
+{
+    for (u32 r = 0; r < 256; ++r)
+        ASSERT_EQ(flags::logic(r, 1), refZsp(r, 1)) << r;
+}
+
+TEST(Flags, ShiftsAndRotatesEveryByteAndCount)
+{
+    for (Op op : SHIFT_OPS) {
+        for (u32 a = 0; a < 256; ++a) {
+            for (u32 count = 0; count < 32; ++count) {
+                for (u32 old : OLD_FLAGS) {
+                    const flags::ShiftResult got =
+                        flags::shift(op, a, count, 1, old);
+                    const RefResult want = refShift(op, a, count, 1, old);
+                    ASSERT_EQ(got.result, want.result)
+                        << opName(op) << " " << a << " by " << count;
+                    ASSERT_EQ(got.eflags, want.flags)
+                        << opName(op) << " " << a << " by " << count;
+                }
+            }
+        }
+    }
+}
+
+TEST(Flags, WordAndDwordSamples)
+{
+    std::mt19937 rng(17);
+    for (unsigned size : {2u, 4u}) {
+        for (int i = 0; i < 20000; ++i) {
+            const u32 a = rng(), b = rng(), c = rng() & 1;
+            u32 r;
+            const RefResult add = refAddSub(false, a, b, c, size);
+            ASSERT_EQ(flags::add(a, b, c, size, r), add.flags);
+            ASSERT_EQ(r, add.result);
+            const RefResult sub = refAddSub(true, a, b, c, size);
+            ASSERT_EQ(flags::sub(a, b, c, size, r), sub.flags);
+            ASSERT_EQ(r, sub.result);
+            ASSERT_EQ(flags::logic(a & mask(size), size),
+                      refZsp(a & mask(size), size));
+
+            const Op op = SHIFT_OPS[rng() % 5];
+            const u32 count = rng() % 32, old = OLD_FLAGS[rng() % 2];
+            const flags::ShiftResult got =
+                flags::shift(op, a, count, size, old);
+            const RefResult want = refShift(op, a, count, size, old);
+            ASSERT_EQ(got.result, want.result)
+                << opName(op) << " " << a << " by " << count;
+            ASSERT_EQ(got.eflags, want.flags)
+                << opName(op) << " " << a << " by " << count;
         }
     }
 }

@@ -172,6 +172,66 @@ TEST(Vmm, X86ModeUsesBbbAndNoBbt)
     EXPECT_GT(st.insnsSbtCode, 0u);
 }
 
+TEST(Vmm, ChainInstallsOnlyWhenALinkChanges)
+{
+    // A hot loop with an alternating inner branch: BBT blocks chain to
+    // each other, then the SBT superblock takes over and the exits are
+    // retargeted to it. Every later exit finds its link already in
+    // place, so installs stay near the translation count while follows
+    // grow with the trip count.
+    Assembler as(0x1000);
+    auto loop = as.newLabel();
+    auto skip = as.newLabel();
+    as.movRI(ECX, 20000);
+    as.bind(loop);
+    as.aluRI(Op::Add, EAX, 1);
+    as.testRI(ECX, 1);
+    as.jcc(Cond::E, skip);
+    as.aluRI(Op::Xor, EDX, 3);
+    as.bind(skip);
+    as.dec(ECX);
+    as.jcc(Cond::NE, loop);
+    as.hlt();
+    workload::Program prog = test::snippetProgram(as);
+
+    struct ChainCounter : engine::StageSink
+    {
+        u64 instants = 0;
+        void
+        onEvent(const engine::StageEvent &e) override
+        {
+            if (e.stage == TracePhase::Chain)
+                ++instants;
+        }
+    } chains;
+
+    vmm::VmmConfig cfg;
+    cfg.hotThreshold = 500;
+    x86::Memory mem;
+    prog.loadInto(mem);
+    x86::CpuState cpu = prog.initialState();
+    vmm::Vmm vm(mem, cfg);
+    vm.attachSink(&chains);
+    ASSERT_EQ(static_cast<int>(vm.run(cpu, 10'000'000)),
+              static_cast<int>(Exit::Halted));
+    const vmm::VmmStats &st = vm.stats();
+
+    ASSERT_EQ(st.bbtCacheFlushes + st.sbtCacheFlushes, 0u);
+    ASSERT_GT(st.sbtTranslations, 0u);
+    const u64 translations = st.bbtTranslations + st.sbtTranslations;
+    EXPECT_GT(st.chainsInstalled, 0u);
+    EXPECT_LE(st.chainsInstalled, 4 * translations);
+    EXPECT_EQ(chains.instants, st.chainsInstalled);
+    // Only the counting changed: follows, dispatches and the BBT/SBT
+    // retire split (exits reach each new superblock at the same point)
+    // are the values this loop had when every chained exit counted as
+    // an install.
+    EXPECT_EQ(st.chainFollows, 20997u);
+    EXPECT_EQ(st.dispatches, 5u);
+    EXPECT_EQ(st.insnsBbtCode, 4005u);
+    EXPECT_EQ(st.insnsSbtCode, 105997u);
+}
+
 TEST(Vmm, BudgetOvershootIsBounded)
 {
     Assembler as(0x1000);
