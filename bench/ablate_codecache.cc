@@ -8,9 +8,10 @@
  * *functional* VMM (real translations, real arena management) with
  * shrinking code caches and reports flush / retranslation behaviour.
  *
- * A second sweep ablates the host-side dispatch fast path: lookaside
- * entries, decode-cache lines, and the flat-table capacity preset,
- * reporting host ns/instruction and hit rates for each point.
+ * A second sweep ablates the host-side dispatch caches: lookaside
+ * entries, decode-cache lines (0 disables either), and the lookup
+ * table's capacity preset, reporting host ns/instruction and hit
+ * rates for each point.
  */
 
 #include <chrono>
@@ -71,29 +72,27 @@ main(int argc, char **argv)
                 "(rising translation ratio), exactly the multitasking\n"
                 "concern of Section 1.1.\n");
 
-    // --- host fast-path cache capacity sweep --------------------------
-    // Ablate the dispatch lookaside, the decode cache, and the
-    // flat-table preset on the cold-heavy (permanent startup
-    // transient) workload where the host fast path matters most.
-    std::printf("\n=== Host fast-path capacity ablation (vm.interp, "
+    // --- host dispatch-cache capacity sweep ---------------------------
+    // Ablate the dispatch lookaside, the decode cache, and the table
+    // preset on the cold-heavy (permanent startup transient) workload
+    // where host dispatch cost matters most.
+    std::printf("\n=== Host dispatch-cache capacity ablation (vm.interp, "
                 "cold-heavy) ===\n\n");
     struct Sweep
     {
         const char *label;
-        bool fast;
         std::size_t lookaside;
         std::size_t decodeLines;
         std::size_t reserve;
     };
     const Sweep sweeps[] = {
-        {"legacy (two maps)", false, 0, 0, 0},
-        {"flat, no caches", true, 0, 0, 64},
-        {"flat + ls 64", true, 64, 0, 64},
-        {"flat + ls 256", true, 256, 0, 4096},
-        {"flat + dc 1k", true, 0, 1024, 4096},
-        {"flat + ls 256 + dc 1k", true, 256, 1024, 4096},
-        {"flat + ls 256 + dc 8k", true, 256, 8192, 4096},
-        {"flat + ls 1k + dc 8k", true, 1024, 8192, 16384},
+        {"no caches", 0, 0, 64},
+        {"ls 64", 64, 0, 64},
+        {"ls 256", 256, 0, 4096},
+        {"dc 1k", 0, 1024, 4096},
+        {"ls 256 + dc 1k", 256, 1024, 4096},
+        {"ls 256 + dc 8k", 256, 8192, 4096},
+        {"ls 1k + dc 8k", 1024, 8192, 16384},
     };
     TextTable ht({"variant", "host ns/insn", "lookaside hit %",
                   "decode hit %", "rehashes"});
@@ -103,11 +102,9 @@ main(int argc, char **argv)
         x86::CpuState cpu = prog.initialState();
         vmm::VmmConfig vc = engine::EngineConfig::vmInterp();
         vc.interpHotThreshold = u64{1} << 40; // stay cold forever
-        vc.fastDispatch = s.fast;
         vc.lookasideEntries = s.lookaside;
         vc.decodeCacheEntries = s.decodeLines;
-        if (s.reserve)
-            vc.lookupReserve = s.reserve;
+        vc.lookupReserve = s.reserve;
         vmm::Vmm vm(mem, vc);
         const auto t0 = std::chrono::steady_clock::now();
         vm.run(cpu, 4'000'000);

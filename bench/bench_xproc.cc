@@ -153,7 +153,6 @@ struct XprocConfig
     u64 milestoneInsns = 1'000'000;
     std::string sock;
     engine::EngineConfig tenantCfg;
-    fleet::WorkWeights weights;
 };
 
 /**
@@ -192,14 +191,11 @@ runMapper(const XprocConfig &xc, unsigned index, bool warm,
     vmm::Vmm vm(mem, xc.tenantCfg, svc);
     res.installNs = nowNs() - t1;
 
-    fleet::WorkClockSink clock(xc.weights);
-    vm.attachSink(&clock);
-    // The warm fill ran inside the ctor, before the sink attach:
-    // charge it out of band at the relocation-only install rate,
-    // exactly as fleet admission does.
+    // Priced exactly as fleet admission prices a tenant, the warm
+    // fill included.
+    fleet::WorkClockSink clock(xc.tenantCfg.cold);
+    clock.attach(vm);
     const vmm::VmmStats &st = vm.stats();
-    clock.charge(xc.weights.warmInstall *
-                 static_cast<double>(st.warmInsnsInstalled));
 
     bool ran_ok = true;
     while (st.totalRetired() < xc.milestoneInsns) {
@@ -447,7 +443,6 @@ main(int argc, char **argv)
         xc.sock = "/tmp/cdvm-xproc-" + std::to_string(::getpid()) +
                   ".sock";
     xc.tenantCfg = fleet::tenantEngineConfig(engine::EngineConfig{});
-    xc.weights = fleet::WorkWeights::forConfig(xc.tenantCfg);
 
     const unsigned top = static_cast<unsigned>(cli.num("mappers"));
     std::vector<unsigned> ladder{1, 4, top};

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "dbt/costs.hh"
+#include "engine/params.hh"
 #include "hwassist/haloop.hh"
 #include "x86/decoder.hh"
 #include "uops/csr.hh"
@@ -105,21 +105,22 @@ main(int argc, char **argv)
                 uops::csr::isComplex(csr), uops::csr::isCti(csr));
 
     // --- BBT cost: software vs hardware-assisted ---------------------
-    dbt::TranslationCosts sw = dbt::TranslationCosts::software();
+    const double sw_cycles = engine::params::BBT_CYCLES_PER_INSN;
     double uops_per_insn = 0;
     double ha4 = measureHaloop(4, &uops_per_insn);
 
     std::printf("--- BBT translation cost per x86 instruction ---\n");
     TextTable t({"scheme", "cycles/insn", "native instrs/insn",
                  "paper"});
-    t.addRow({"software BBT (VM.soft)", fmtDouble(sw.bbtCyclesPerInsn, 0),
-              fmtDouble(sw.bbtNativePerInsn, 0), "83 cyc / 105 instrs"});
+    t.addRow({"software BBT (VM.soft)", fmtDouble(sw_cycles, 0),
+              fmtDouble(engine::params::BBT_NATIVE_PER_INSN, 0),
+              "83 cyc / 105 instrs"});
     t.addRow({"HAloop + XLTx86 (VM.be)", fmtDouble(ha4, 1),
               fmtDouble(uops_per_insn, 1), "20 cyc"});
     std::printf("%s\n", t.render().c_str());
     std::printf("speedup from the backend assist: %.1fx (paper: 83/20 "
                 "= 4.2x)\n\n",
-                sw.bbtCyclesPerInsn / ha4);
+                sw_cycles / ha4);
 
     std::printf("--- ablation: XLTx86 latency sensitivity ---\n");
     TextTable t2({"XLTx86 latency", "HAloop cycles/insn"});

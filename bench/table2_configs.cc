@@ -49,7 +49,7 @@ main(int argc, char **argv)
         t.addRow({m.name, coldDesc(m),
                   m.hasSbt ? "software hotspot optimization (SBT)"
                            : "no optimization",
-                  fmtDouble(m.costs.bbtCyclesPerInsn, 0),
+                  fmtDouble(m.cost.bbtTranslate, 0),
                   m.hasSbt ? fmtCount(m.hotThreshold) : "-"});
     }
     std::printf("%s\n", t.render().c_str());

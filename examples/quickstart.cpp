@@ -422,8 +422,7 @@ main(int argc, char **argv)
     // Host fast-path metrics: how fast this host emulated, and how
     // well the dispatch lookaside / decode cache served the run
     // (bench_host_mips measures these systematically).
-    std::printf("\nhost fast path (%s):\n",
-                cfg.fastDispatch ? "enabled" : "legacy dispatch");
+    std::printf("\nhost fast path:\n");
     std::printf("  host guest-MIPS:        %.1f (%llu insns in "
                 "%.3f s)\n",
                 host_dt.count() > 0.0

@@ -14,8 +14,6 @@
 #ifndef CDVM_ANALYSIS_MODEL_HH
 #define CDVM_ANALYSIS_MODEL_HH
 
-#include "dbt/costs.hh"
-
 namespace cdvm::analysis
 {
 

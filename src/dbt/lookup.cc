@@ -20,25 +20,18 @@ roundPow2(std::size_t n, std::size_t min_cap)
 
 } // namespace
 
-TranslationMap::TranslationMap(const Config &cfg) : conf(cfg)
+TranslationMap::TranslationMap(const Config &cfg)
+    : slots(roundPow2(cfg.reserveEntries, 64))
 {
-    if (conf.flat) {
-        slots.resize(roundPow2(conf.reserveEntries, 64));
-        if (conf.lookasideEntries)
-            lookaside.resize(roundPow2(conf.lookasideEntries, 16));
-    }
+    if (cfg.lookasideEntries)
+        lookaside.resize(roundPow2(cfg.lookasideEntries, 16));
 }
 
 bool
 TranslationMap::isLive(const Translation *t) const
 {
-    const unsigned k = kindIdx(t->kind);
-    if (conf.flat) {
-        const Slot *s = findSlot(t->entryPc);
-        return s && s->byKind[k] == t->id;
-    }
-    auto it = legacy[k].find(t->entryPc);
-    return it != legacy[k].end() && it->second == t->id;
+    const Slot *s = findSlot(t->entryPc);
+    return s && s->byKind[kindIdx(t->kind)] == t->id;
 }
 
 TranslationMap::Slot *
@@ -134,8 +127,9 @@ TranslationMap::lsUpdate(Addr pc, TransId t)
 }
 
 Translation *
-TranslationMap::flatLookup(Addr pc)
+TranslationMap::lookup(Addr pc)
 {
+    ++nLookups;
     // Dispatch lookaside: one direct-mapped line resolves the common
     // case (same cold pc re-dispatched, or a hot pc between chains).
     // Negative results are cached too; both stay correct because an
@@ -163,38 +157,12 @@ TranslationMap::flatLookup(Addr pc)
 }
 
 Translation *
-TranslationMap::legacyLookup(Addr pc)
-{
-    auto it = legacy[1].find(pc);
-    if (it != legacy[1].end())
-        return resolve(it->second);
-    it = legacy[0].find(pc);
-    if (it != legacy[0].end())
-        return resolve(it->second);
-    ++nMisses;
-    return nullptr;
-}
-
-Translation *
-TranslationMap::lookup(Addr pc)
-{
-    ++nLookups;
-    return conf.flat ? flatLookup(pc) : legacyLookup(pc);
-}
-
-Translation *
 TranslationMap::lookup(Addr pc, TransKind kind)
 {
     ++nLookups;
-    const unsigned k = kindIdx(kind);
     TransId tid;
-    if (conf.flat) {
-        if (const Slot *s = findSlot(pc))
-            tid = s->byKind[k];
-    } else {
-        auto it = legacy[k].find(pc);
-        tid = it == legacy[k].end() ? NO_TRANS : it->second;
-    }
+    if (const Slot *s = findSlot(pc))
+        tid = s->byKind[kindIdx(kind)];
     Translation *t = resolve(tid);
     if (!t)
         ++nMisses;
@@ -224,32 +192,23 @@ TranslationMap::insert(std::unique_ptr<Translation> t)
     ae.t = std::move(t);
     order[k].push_back(id);
 
-    if (conf.flat) {
-        maybeGrow();
-        Slot &s = probeFor(pc);
-        if (s.empty()) {
-            ++slotsUsed;
-            s.pc = pc;
-        } else if (s.byKind[k]) {
-            // Same pc/kind installed again: the old translation stays
-            // in the arena (chains into it remain safe) but is no
-            // longer dispatchable. Count it instead of leaking stats.
-            ++nOverwrites;
-            ++overwritten[k];
-        }
-        s.byKind[k] = id;
-        // Refresh the lookaside line with the new SBT-preferred
-        // resolution so a cached (possibly negative) entry for this pc
-        // cannot go stale.
-        lsUpdate(pc, s.byKind[1] ? s.byKind[1] : s.byKind[0]);
-    } else {
-        auto [it, fresh] = legacy[k].try_emplace(pc, id);
-        if (!fresh) {
-            ++nOverwrites;
-            ++overwritten[k];
-            it->second = id;
-        }
+    maybeGrow();
+    Slot &s = probeFor(pc);
+    if (s.empty()) {
+        ++slotsUsed;
+        s.pc = pc;
+    } else if (s.byKind[k]) {
+        // Same pc/kind installed again: the old translation stays in
+        // the arena (chains into it remain safe) but is no longer
+        // dispatchable. Count it instead of leaking stats.
+        ++nOverwrites;
+        ++overwritten[k];
     }
+    s.byKind[k] = id;
+    // Refresh the lookaside line with the new SBT-preferred resolution
+    // so a cached (possibly negative) entry for this pc cannot go
+    // stale.
+    lsUpdate(pc, s.byKind[1] ? s.byKind[1] : s.byKind[0]);
     return raw;
 }
 
@@ -285,10 +244,7 @@ TranslationMap::eraseKind(TransKind kind)
     order[k].clear();
     overwritten[k] = 0;
     ++epoch; // every lookaside line is now stale by construction
-    if (conf.flat)
-        rebuildFromOrder(); // O(live in the surviving kind)
-    else
-        legacy[k].clear();
+    rebuildFromOrder(); // O(live in the surviving kind)
 }
 
 void
@@ -299,7 +255,6 @@ TranslationMap::clear()
             freeEntry(id);
         order[k].clear();
         overwritten[k] = 0;
-        legacy[k].clear();
     }
     ++epoch;
     for (Slot &s : slots)
@@ -310,15 +265,10 @@ TranslationMap::clear()
 void
 TranslationMap::reserve(std::size_t n)
 {
-    if (conf.flat) {
-        // Size for load factor < 3/4 at n entries.
-        std::size_t want = roundPow2(n + n / 2, 64);
-        if (want > slots.size())
-            growTo(want);
-    } else {
-        legacy[0].reserve(n);
-        legacy[1].reserve(n);
-    }
+    // Size for load factor < 3/4 at n entries.
+    std::size_t want = roundPow2(n + n / 2, 64);
+    if (want > slots.size())
+        growTo(want);
 }
 
 void
@@ -337,17 +287,12 @@ TranslationMap::exportStats(StatRegistry &reg,
     reg.set(prefix + ".live_superblocks",
             static_cast<double>(numSuperblocks()),
             "live SBT translations");
-    reg.set(prefix + ".flat", conf.flat ? 1.0 : 0.0,
-            "1: flat fast-path table, 0: legacy two-map baseline");
-    if (conf.flat) {
-        reg.set(prefix + ".capacity",
-                static_cast<double>(slots.size()),
-                "flat-table slot capacity");
-        reg.set(prefix + ".rehashes", static_cast<double>(nRehashes),
-                "flat-table growth rehashes");
-        reg.set(prefix + ".flush_epoch", static_cast<double>(epoch),
-                "lookaside invalidation epoch");
-    }
+    reg.set(prefix + ".capacity", static_cast<double>(slots.size()),
+            "table slot capacity");
+    reg.set(prefix + ".rehashes", static_cast<double>(nRehashes),
+            "table growth rehashes");
+    reg.set(prefix + ".flush_epoch", static_cast<double>(epoch),
+            "lookaside invalidation epoch");
     if (!lookaside.empty()) {
         reg.set(prefix + ".lookaside.hits",
                 static_cast<double>(lsHits),

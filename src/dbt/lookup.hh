@@ -5,22 +5,15 @@
  * The VMM runtime consults this map on every dispatch that is not
  * covered by chaining (Fig. 1b "Translation Lookup in Code Cache"),
  * which makes it the hottest host-side data structure in the whole
- * reproduction. Two implementations live behind one interface:
- *
- *  - the **flat fast path** (default): a single open-addressing hash
- *    table with power-of-two capacity and fibonacci (multiplicative)
- *    hashing on the PC. Each slot holds the PC and both per-kind
- *    translation ids, so one probe sequence resolves the
- *    SBT-preferred dispatch lookup. The table is insert-only between
- *    flushes (no tombstones); eraseKind rebuilds from the surviving
- *    installs in O(live). In front of it sits a small direct-mapped
- *    **dispatch lookaside cache** (pc -> resolved TransId,
- *    negative entries included) that is epoch-invalidated on every
- *    flush and entry-updated on every install;
- *
- *  - the **legacy baseline** (fastDispatch=false / --legacy-lookup):
- *    the original two chained std::unordered_map probes, kept
- *    selectable so bench_host_mips can A/B the dispatch cost.
+ * reproduction. It is a single open-addressing hash table with
+ * power-of-two capacity and fibonacci (multiplicative) hashing on the
+ * PC. Each slot holds the PC and both per-kind translation ids, so one
+ * probe sequence resolves the SBT-preferred dispatch lookup. The table
+ * is insert-only between flushes (no tombstones); eraseKind rebuilds
+ * from the surviving installs in O(live). In front of it sits a small
+ * direct-mapped **dispatch lookaside cache** (pc -> resolved TransId,
+ * negative entries included) that is epoch-invalidated on every flush
+ * and entry-updated on every install.
  *
  * Ownership is one generational arena: insert allocates a slot (from
  * the free list or by appending) and stamps the translation with its
@@ -39,7 +32,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dbt/translation.hh"
@@ -63,11 +55,9 @@ fibHash(u64 pc)
 class TranslationMap
 {
   public:
-    /** Capacity presets and mode selection (VmmConfig-sized). */
+    /** Capacity presets (VmmConfig-sized). */
     struct Config
     {
-        /** Flat open-addressing table (false: legacy two-map probe). */
-        bool flat = true;
         /** Initial table capacity hint (entries; rounded to pow2). */
         std::size_t reserveEntries = 4096;
         /** Dispatch lookaside entries (pow2; 0 disables). */
@@ -122,9 +112,8 @@ class TranslationMap
     u64 lookasideMisses() const { return lsMisses; }
     /** Current flush epoch (bumped by eraseKind/clear). */
     u64 flushEpoch() const { return epoch; }
-    /** Flat-table slot capacity (0 in legacy mode). */
+    /** Table slot capacity. */
     std::size_t capacity() const { return slots.size(); }
-    bool flatMode() const { return conf.flat; }
 
     /** Publish lookup/occupancy counters under prefix. */
     void exportStats(StatRegistry &reg, const std::string &prefix) const;
@@ -152,7 +141,7 @@ class TranslationMap
     };
 
     /**
-     * One flat-table slot: the PC plus both per-kind ids, so the
+     * One table slot: the PC plus both per-kind ids, so the
      * SBT-preferred lookup resolves in a single probe sequence. A slot
      * with both ids null is empty (the table is insert-only between
      * flushes, so no tombstones exist).
@@ -202,10 +191,6 @@ class TranslationMap
     /** Free one arena slot: destroy + generation bump. */
     void freeEntry(TransId id);
 
-    Translation *legacyLookup(Addr pc);
-    Translation *flatLookup(Addr pc);
-
-    Config conf;
 
     // Ownership: the generational arena. Freed slots go on the free
     // list with a bumped generation; `order[k]` records the install
@@ -217,17 +202,12 @@ class TranslationMap
     std::vector<TransId> order[2];
     std::size_t overwritten[2] = {0, 0};
 
-    // Flat fast path.
-    std::vector<Slot> slots; //!< pow2 capacity; empty when legacy
+    // The table and its lookaside.
+    std::vector<Slot> slots; //!< pow2 capacity
     std::size_t slotsUsed = 0;
     std::vector<LsEntry> lookaside; //!< pow2; empty when disabled
     u64 epoch = 1; //!< flush epoch; lookaside entries from older epochs
                    //!< are stale by construction
-
-    // Legacy baseline: the original two chained-hashing probes
-    // (non-owning; the arena owns in both modes).
-    using LegacyMap = std::unordered_map<Addr, TransId>;
-    LegacyMap legacy[2];
 
     u64 nLookups = 0;
     u64 nMisses = 0;

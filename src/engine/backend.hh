@@ -70,9 +70,8 @@ class SoftwareBbtBackend : public TranslationBackend
 class TemplateBbtBackend : public TranslationBackend
 {
   public:
-    TemplateBbtBackend(x86::Memory &memory, unsigned max_insns,
-                       unsigned coverage_pct = 100)
-        : xlator(memory, max_insns, coverage_pct)
+    TemplateBbtBackend(x86::Memory &memory, unsigned max_insns)
+        : xlator(memory, max_insns)
     {
     }
 

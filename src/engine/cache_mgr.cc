@@ -10,6 +10,15 @@ namespace cdvm::engine
 using dbt::TransKind;
 using dbt::Translation;
 
+namespace
+{
+
+// Where the two arenas live in concealed guest memory (paper Fig. 1).
+constexpr Addr BBT_CACHE_BASE = 0xe0000000;
+constexpr Addr SBT_CACHE_BASE = 0xe8000000;
+
+} // namespace
+
 CodeCacheManager::CodeCacheManager(x86::Memory &memory,
                                    const EngineConfig &cfg,
                                    EngineStats &stats,
@@ -17,11 +26,10 @@ CodeCacheManager::CodeCacheManager(x86::Memory &memory,
     : mem(memory),
       st(stats),
       events(event_stream),
-      map(dbt::TranslationMap::Config{
-          cfg.fastDispatch, cfg.lookupReserve,
-          cfg.fastDispatch ? cfg.lookasideEntries : 0}),
-      bbtCc("bbt-cache", cfg.bbtCacheBase, cfg.bbtCacheBytes),
-      sbtCc("sbt-cache", cfg.sbtCacheBase, cfg.sbtCacheBytes)
+      map(dbt::TranslationMap::Config{cfg.lookupReserve,
+                                      cfg.lookasideEntries}),
+      bbtCc("bbt-cache", BBT_CACHE_BASE, cfg.bbtCacheBytes),
+      sbtCc("sbt-cache", SBT_CACHE_BASE, cfg.sbtCacheBytes)
 {
 }
 

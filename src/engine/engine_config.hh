@@ -61,21 +61,11 @@ struct EngineConfig
     /** Hot threshold under interpretation (Section 3.1: 25). */
     u64 interpHotThreshold = params::INTERP_HOT_THRESHOLD;
     bool enableSbt = true;
-    bool enableChaining = true;
 
-    Addr bbtCacheBase = 0xe0000000;
     u64 bbtCacheBytes = u64{4} << 20;
-    Addr sbtCacheBase = 0xe8000000;
     u64 sbtCacheBytes = u64{4} << 20;
 
     unsigned maxBlockInsns = 64;
-    /**
-     * Template cold tier only: percentage of the learned rule table
-     * enabled, in deterministic enumeration order. 100 = full table;
-     * lower values force more per-block software fallbacks (the
-     * `bench_host_mips --ablate-tmpl` coverage knob).
-     */
-    unsigned tmplCoveragePct = 100;
     dbt::SuperblockPolicy sbPolicy{};
     uops::FusionConfig fusion{};
     hwassist::BbbParams bbbParams{};
@@ -85,15 +75,7 @@ struct EngineConfig
     std::size_t coldCounterCap = 65536;
     std::size_t sbtFailedCap = 16384;
 
-    // --- host-side dispatch fast path -------------------------------
-    /**
-     * Use the flat open-addressing translation table, the dispatch
-     * lookaside cache, and the interpreter decode cache. False
-     * restores the pre-existing map-based dispatch (the
-     * --legacy-lookup A/B baseline of bench_host_mips); retire
-     * streams and StageEvent sequences are bit-identical either way.
-     */
-    bool fastDispatch = true;
+    // --- host-side dispatch ----------------------------------------
     /** Flat-table capacity preset (entries; rounded to a power of
      *  two). Sized for the BBT-dominated startup transient so the
      *  table does not rehash while cold code floods in. */

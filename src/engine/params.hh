@@ -4,9 +4,9 @@
  *
  * Every layer that needs a number from Hu & Smith, "Reducing Startup
  * Time in Co-Designed Virtual Machines" (ISCA 2006) draws it from
- * here: the translation cost model (dbt/costs.hh), the timing-machine
- * presets (timing/machine_config.cc), the analytical model
- * (analysis/model.hh) and the benches. Each constant cites the paper
+ * here: the per-tier cost model (engine/cost_model.hh) that both the
+ * timing simulator and the fleet clock price with, the analytical
+ * model (analysis/model.hh) and the benches. Each constant cites the paper
  * section it was measured or derived in.
  */
 
@@ -97,9 +97,8 @@ inline constexpr double INTERP_SLOWDOWN = 35.0;
  * Zero-copy image install: translations bind views into the mapped
  * image, so the per-instruction work is the content-address check,
  * arena reservation and the relocation pass -- ~1 cycle per installed
- * x86 instruction on the modeled machine. The timing model's
- * warmLoadCyclesPerInsn and the fleet clock's warm-install weight both
- * use it.
+ * x86 instruction on the modeled machine (CostModel::warmInstall, so
+ * the timing model and the fleet clock both charge it).
  */
 inline constexpr double WARM_LOAD_MAPPED_CPI = 1.0;
 

@@ -106,7 +106,7 @@ class ColdExecutor
 
     /**
      * The decoded-instruction cache behind this executor, when there
-     * is one (execute-style executors with the fast path enabled).
+     * is one (execute-style executors with decodeCacheEntries > 0).
      */
     virtual const x86::DecodeCache *
     decodeCache() const

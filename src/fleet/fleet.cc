@@ -68,37 +68,14 @@ tenantEngineConfig(engine::EngineConfig base)
     return base;
 }
 
-WorkWeights
-WorkWeights::forConfig(const engine::EngineConfig &cfg)
+void
+WorkClockSink::attach(vmm::Vmm &vm)
 {
-    WorkWeights w;
-    if (cfg.cold == engine::ColdKind::XltAssistedBbt)
-        w.bbtTranslate = engine::params::BBT_ASSIST_CYCLES_PER_INSN;
-    return w;
-}
-
-double
-WorkClockSink::weight(TracePhase p) const
-{
-    switch (p) {
-      case TracePhase::Interp:
-      case TracePhase::ColdExec:
-        return wt.interp;
-      case TracePhase::X86Mode:
-        return wt.x86Mode;
-      case TracePhase::BbtExec:
-        return wt.bbtExec;
-      case TracePhase::SbtExec:
-        return wt.sbtExec;
-      case TracePhase::BbtTranslate:
-        return wt.bbtTranslate;
-      case TracePhase::SbtOptimize:
-        return wt.sbtOptimize;
-      case TracePhase::WarmInstall:
-        return wt.warmInstall;
-      default:
-        return 0.0;
-    }
+    vm.attachSink(this);
+    engine::StageEvent fill;
+    fill.stage = TracePhase::WarmInstall;
+    fill.insns = vm.stats().warmInsnsInstalled;
+    onEvent(fill);
 }
 
 /** One workload class: the program every (i % workloads)-th context
@@ -135,10 +112,7 @@ struct FleetServer::Tenant
 };
 
 FleetServer::FleetServer(const FleetConfig &config)
-    : cfg(config),
-      tenantCfg(cfg.shrinkTenants ? tenantEngineConfig(cfg.engineCfg)
-                                  : cfg.engineCfg),
-      weights(WorkWeights::forConfig(tenantCfg))
+    : cfg(config), tenantCfg(tenantEngineConfig(cfg.engineCfg))
 {
     if (cfg.contexts == 0)
         cfg.contexts = 1;
@@ -214,13 +188,7 @@ FleetServer::admit(std::size_t idx, u64 due)
     svc.imageEndpoint = cfg.imageEndpoint;
 
     t.vm = std::make_unique<vmm::Vmm>(*t.mem, tenantCfg, svc);
-    t.vm->attachSink(&t.clock);
-    // The warm fill ran inside the ctor, before the sink attach:
-    // charge it out of band so warm boots pay their install bill on
-    // the same clock cold boots pay translation on.
-    t.clock.charge(
-        weights.warmInstall *
-        static_cast<double>(t.vm->stats().warmInsnsInstalled));
+    t.clock.attach(*t.vm);
 
     t.state = Tenant::State::Runnable;
     t.res.admitClock = due;
@@ -282,7 +250,7 @@ FleetServer::run()
         auto t = std::make_unique<Tenant>();
         t->id = i;
         t->workload = i % cfg.workloads;
-        t->clock = WorkClockSink(weights);
+        t->clock = WorkClockSink(tenantCfg.cold);
         t->res.id = i;
         t->res.workload = t->workload;
         tenants.push_back(std::move(t));

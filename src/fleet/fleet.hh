@@ -10,12 +10,13 @@
  *
  *  - each context is a full per-tenant Vmm (private guest memory,
  *    code caches, lookup structures, profilers, stats) constructed
- *    over process-shared services (one SBT worker pool, one parsed
- *    warm-start repository per workload);
+ *    over process-shared services (one SBT worker pool, one shared
+ *    warm-start image for every workload);
  *  - a scheduler multiplexes the contexts onto the emulation thread
  *    in retired-instruction time slices (fleet/scheduler.hh);
  *  - a deterministic virtual clock prices every context's staged
- *    work in cycles from the paper's constants (engine/params.hh),
+ *    work in cycles with its cold tier's engine::CostModel (the
+ *    paper's constants, the same table the timing simulator uses),
  *    so time-to-milestone numbers -- and the warm-vs-cold gate built
  *    on them -- are exactly reproducible, independent of host load;
  *  - admission follows an ArrivalCurve (storm, stepped batches,
@@ -36,8 +37,8 @@
 
 #include "common/statreg.hh"
 #include "common/threadpool.hh"
+#include "engine/cost_model.hh"
 #include "engine/events.hh"
-#include "engine/params.hh"
 #include "fleet/arrival.hh"
 #include "fleet/scheduler.hh"
 #include "vmm/vmm.hh"
@@ -66,59 +67,38 @@ u64 deriveSeed(u64 fleet_seed, u64 ctx_id);
 engine::EngineConfig tenantEngineConfig(engine::EngineConfig base);
 
 /**
- * Per-instruction cycle weights the fleet clock charges for each
- * stage, drawn from the paper's measured constants. forConfig()
- * swaps in the XLTx86-assisted BBT cost when the config's cold path
- * uses the hardware assist.
- */
-struct WorkWeights
-{
-    double interp = engine::params::INTERP_SLOWDOWN;
-    double x86Mode = 1.0;
-    double bbtExec = engine::params::BBT_VS_SBT_CPI;
-    double sbtExec = 1.0;
-    double bbtTranslate = engine::params::BBT_CYCLES_PER_INSN;
-    double sbtOptimize = engine::params::SBT_CYCLES_PER_INSN;
-    /** Warm-fill install cost per instruction: zero-copy views into
-     *  the shared image, relocation only (engine/params
-     *  WARM_LOAD_MAPPED_CPI, the timing model's
-     *  warmLoadCyclesPerInsn). */
-    double warmInstall = engine::params::WARM_LOAD_MAPPED_CPI;
-
-    static WorkWeights forConfig(const engine::EngineConfig &cfg);
-};
-
-/**
- * StageSink that prices a context's event stream in virtual cycles.
- * Background work (async SBT on a worker thread) is occupancy, not
- * critical-path time, and is not charged.
+ * StageSink that prices a context's event stream in virtual cycles
+ * with its cold tier's engine::CostModel. Background work (async SBT
+ * on a worker thread) is occupancy, not critical-path time, and is
+ * not charged.
  */
 class WorkClockSink : public engine::StageSink
 {
   public:
-    explicit WorkClockSink(const WorkWeights &w = {}) : wt(w) {}
+    explicit WorkClockSink(
+        engine::ColdKind tier = engine::ColdKind::SoftwareBbt)
+        : model(engine::CostModel::forTier(tier))
+    {
+    }
 
     void
     onEvent(const engine::StageEvent &e) override
     {
-        if (e.instant || e.background || e.insns == 0)
-            return;
-        acc += weight(e.stage) * static_cast<double>(e.insns);
+        acc += model.price(e).critical;
     }
+
+    /**
+     * Attach to vm and charge the warm fill its constructor already
+     * ran, before any sink could see it, so warm boots pay their
+     * install bill on the same clock cold boots pay translation on.
+     */
+    void attach(vmm::Vmm &vm);
 
     /** Cycles accumulated so far (monotone). */
     u64 cycles() const { return static_cast<u64>(acc); }
 
-    /** Charge out-of-band work (the ctor-time warm fill). */
-    void
-    charge(double cycles_worth)
-    {
-        acc += cycles_worth;
-    }
-
   private:
-    double weight(TracePhase p) const;
-    WorkWeights wt;
+    engine::CostModel model;
     double acc = 0.0;
 };
 
@@ -145,10 +125,8 @@ struct FleetConfig
     ArrivalCurve arrival{};
 
     /** Per-tenant engine template (seed/paths are per-context); run
-     *  through tenantEngineConfig() by FleetServer unless
-     *  shrinkTenants is false. */
+     *  through tenantEngineConfig() by FleetServer. */
     engine::EngineConfig engineCfg;
-    bool shrinkTenants = true;
 
     /** Background SBT workers in the process-shared pool (0 = every
      *  tenant optimizes synchronously; tenant asyncTranslators are
@@ -268,7 +246,6 @@ class FleetServer
 
     FleetConfig cfg;
     engine::EngineConfig tenantCfg; //!< resolved per-tenant template
-    WorkWeights weights;
     std::unique_ptr<ThreadPool> pool;
     std::vector<WorkloadClass> classes;
     std::vector<std::unique_ptr<Tenant>> tenants;

@@ -1,27 +1,10 @@
 #include "timing/machine_config.hh"
 
-#include "engine/params.hh"
-
 namespace cdvm::timing
 {
 
-namespace
-{
-
-/**
- * BBT-generated code runs at 82-85% of SBT-code IPC, which is "only
- * slightly less than the baseline superscalar" (Section 5.3) -- the
- * SBT code's microarchitectural IPC capability (~18% over a plain
- * superscalar before cache dilution) puts 0.84x of it at roughly the
- * reference's level. Relative to SBT code at the aggregate level we
- * model BBT code 10% slower (i.e. ~2% below the reference).
- */
-constexpr double BBT_VS_SBT_CPI = engine::params::BBT_VS_SBT_CPI;
-
-/** Interpretation is 10x-100x slower than native (Section 1.1). */
-constexpr double INTERP_SLOWDOWN = engine::params::INTERP_SLOWDOWN;
-
-} // namespace
+using engine::ColdKind;
+using engine::CostModel;
 
 MachineConfig
 MachineConfig::refSuperscalar()
@@ -31,8 +14,8 @@ MachineConfig::refSuperscalar()
     m.kind = MachineKind::RefSuperscalar;
     m.cold = ColdMode::Native;
     m.hasSbt = false;
-    m.costs = dbt::TranslationCosts::frontendAssist(); // no translation
-    m.coldCpiFactor = 1.0;
+    // Hardware x86 decoders: priced as the x86-mode tier.
+    m.cost = CostModel::forTier(ColdKind::HardwareX86Mode);
     m.frontendX86Decoders = true; // always-on hardware x86 decoders
     return m;
 }
@@ -45,8 +28,7 @@ MachineConfig::vmSoft()
     m.kind = MachineKind::VmSoft;
     m.cold = ColdMode::BbtCode;
     m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::software();
-    m.coldCpiFactor = BBT_VS_SBT_CPI;
+    m.cost = CostModel::forTier(ColdKind::SoftwareBbt);
     m.frontendX86Decoders = false; // no hardware x86 decode at all
     return m;
 }
@@ -58,7 +40,7 @@ MachineConfig::vmSoftTmpl()
     m.name = "VM.soft.tmpl";
     // Same machine, cheaper Delta_BBT: translation maps decoded forms
     // straight to templates instead of lowering through the uop IR.
-    m.costs = dbt::TranslationCosts::templateTier();
+    m.cost = CostModel::forTier(ColdKind::TemplateBbt);
     return m;
 }
 
@@ -70,8 +52,7 @@ MachineConfig::vmBe()
     m.kind = MachineKind::VmBe;
     m.cold = ColdMode::BbtCode;
     m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::backendAssist();
-    m.coldCpiFactor = BBT_VS_SBT_CPI;
+    m.cost = CostModel::forTier(ColdKind::XltAssistedBbt);
     // One XLTx86 decoder, active only while the HAloop runs.
     m.frontendX86Decoders = false;
     return m;
@@ -85,10 +66,9 @@ MachineConfig::vmFe()
     m.kind = MachineKind::VmFe;
     m.cold = ColdMode::X86Direct;
     m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::frontendAssist();
     // Dual-mode execution of cold x86 code behaves like the reference
     // superscalar (Section 5.2).
-    m.coldCpiFactor = 1.0;
+    m.cost = CostModel::forTier(ColdKind::HardwareX86Mode);
     m.frontendX86Decoders = true; // on while not in hotspot code
     return m;
 }
@@ -101,8 +81,7 @@ MachineConfig::vmInterp()
     m.kind = MachineKind::VmInterp;
     m.cold = ColdMode::Interpret;
     m.hasSbt = true;
-    m.costs = dbt::TranslationCosts::interpreter();
-    m.coldCpiFactor = INTERP_SLOWDOWN;
+    m.cost = CostModel::forTier(ColdKind::Interpret);
     // Interpretation threshold: N = Delta_SBT / (p-1) with the much
     // larger interpretation slowdown folded in -- the paper derives 25.
     m.hotThreshold = engine::params::INTERP_HOT_THRESHOLD;

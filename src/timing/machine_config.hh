@@ -22,7 +22,7 @@
 
 #include <string>
 
-#include "dbt/costs.hh"
+#include "engine/cost_model.hh"
 #include "memsys/hierarchy.hh"
 
 namespace cdvm::timing
@@ -67,23 +67,17 @@ struct MachineConfig
     MachineKind kind = MachineKind::RefSuperscalar;
     ColdMode cold = ColdMode::Native;
     bool hasSbt = false;           //!< hotspot optimization stage
-    dbt::TranslationCosts costs;   //!< translation cycle costs
+    /**
+     * Execution rates, Delta_BBT / Delta_SBT, warm-install and
+     * dispatch costs of the machine's cold tier (Ref: the x86-mode
+     * tier). The simulator scales the execution rates by the app's
+     * CPIs and adds the cache-hierarchy penalties on top.
+     */
+    engine::CostModel cost;
     /** Eq. 2 threshold. */
     u64 hotThreshold = engine::params::HOT_THRESHOLD;
     PipelineParams pipeline;
     memsys::HierarchyParams memory;
-
-    /**
-     * CPI multiplier of the emulation mode for cold code, relative to
-     * the workload's reference CPI:
-     *   Ref / VM.fe x86-mode: 1.0 (same pipeline behaviour);
-     *   BBT code: 1/0.84 (runs at 82-85% of SBT-code IPC, paper 5.3);
-     *   interpretation: 10x-100x (paper 1.1; calibrated to Fig. 2).
-     */
-    double coldCpiFactor = 1.0;
-
-    /** SBT-code CPI factor; the per-app steady-state gain divides it. */
-    double sbtCpiFactor = 1.0;
 
     /**
      * Hotspot coverage at which the published steady-state gain is
@@ -98,9 +92,6 @@ struct MachineConfig
      * (measured from the real translators in calibration tests).
      */
     double codeExpansion = 1.6;
-
-    /** VMM dispatch overhead when a chain is missing (cycles). */
-    double dispatchCycles = 30.0;
 
     /**
      * Fraction of an L2-hit instruction-fetch miss that fetch-ahead
@@ -153,15 +144,6 @@ struct MachineConfig
     bool warmStart = false;
 
     /**
-     * Per-instruction cost of a warm install. Translations bind views
-     * into the mapped image, so only the content-address check, arena
-     * reservation and one relocation pass remain: ~1 cycle/insn
-     * (engine/params WARM_LOAD_MAPPED_CPI).
-     */
-    double warmLoadCyclesPerInsn =
-        engine::params::WARM_LOAD_MAPPED_CPI;
-
-    /**
      * Fraction of warm-load memory stall hidden by streaming: the
      * loader walks the image and the guest code strictly
      * sequentially, so hardware prefetch covers most read-miss
@@ -175,7 +157,7 @@ struct MachineConfig
     static MachineConfig refSuperscalar();
     static MachineConfig vmSoft();
     /** VM.soft with the IR-less template cold tier (software XLTx86):
-     *  Delta_BBT scaled by the measured template/software ratio. */
+     *  the template tier's Delta_BBT. */
     static MachineConfig vmSoftTmpl();
     static MachineConfig vmBe();
     static MachineConfig vmFe();

@@ -41,10 +41,11 @@ phaseOf(CycleCat c)
 }
 
 /**
- * The cycle-pricing consumer of the staging event stream: converts
- * each stage event into cycles against the machine config and the
- * (stateful, cold-started) cache hierarchy, maintains the Fig. 10
- * category breakdown and the startup-curve samples.
+ * The cycle-pricing consumer of the staging event stream: prices each
+ * stage event with the machine's cost model (execution rates scaled by
+ * the app's CPIs), adds the (stateful, cold-started) cache hierarchy's
+ * penalties, and maintains the Fig. 10 category breakdown, decode
+ * activity, background occupancy and the startup-curve samples.
  */
 class CycleModelSink : public engine::StageSink
 {
@@ -64,12 +65,12 @@ class CycleModelSink : public engine::StageSink
     void
     onEvent(const engine::StageEvent &e) override
     {
+        const engine::CostModel::Price p = m.cost.price(e);
         switch (e.stage) {
           case TracePhase::BbtTranslate: {
             // Translator reads the x86 image and writes the code
             // cache through the data side.
-            double tcyc = m.costs.bbtCyclesPerInsn *
-                          static_cast<double>(e.insns);
+            double tcyc = p.critical;
             tcyc += dataPenalty(e.x86Addr, e.x86Bytes, false);
             tcyc += dataPenalty(e.codeAddr, e.codeBytes, true);
             add(CycleCat::BbtXlate, tcyc, false);
@@ -79,7 +80,7 @@ class CycleModelSink : public engine::StageSink
             break;
           }
           case TracePhase::Dispatch:
-            add(CycleCat::Dispatch, m.dispatchCycles, false);
+            add(CycleCat::Dispatch, p.critical, false);
             break;
           case TracePhase::WarmInstall: {
             // The warm loader validates the saved page hashes against
@@ -87,8 +88,7 @@ class CycleModelSink : public engine::StageSink
             // translation body into the code cache (data-side stores);
             // no decode or cracking happens, so the per-instruction
             // cost is far below Delta_BBT.
-            double tcyc = m.warmLoadCyclesPerInsn *
-                          static_cast<double>(e.insns);
+            double tcyc = p.critical;
             // The loader streams both images sequentially; prefetch
             // and write buffering hide most of the miss latency the
             // lazy (demand-miss) translator would stall on.
@@ -99,16 +99,14 @@ class CycleModelSink : public engine::StageSink
             break;
           }
           case TracePhase::SbtOptimize: {
-            double tcyc = m.costs.sbtCyclesPerInsn *
-                          static_cast<double>(e.insns);
-            if (e.background) {
-                // Async pipeline: Delta_SBT is occupancy of a private
-                // background context. It neither advances the
-                // emulation thread's clock nor disturbs its cache
-                // hierarchy (the contexts have their own ports).
-                bgSbt += tcyc;
+            // Async pipeline: Delta_SBT is occupancy of a private
+            // background context. It neither advances the emulation
+            // thread's clock nor disturbs its cache hierarchy (the
+            // contexts have their own ports).
+            bgSbt += p.occupancy;
+            if (e.background)
                 break;
-            }
+            double tcyc = p.critical;
             tcyc += dataPenalty(e.x86Addr, e.x86Bytes, false);
             tcyc += dataPenalty(e.codeAddr, e.codeBytes, true);
             add(CycleCat::SbtXlate, tcyc, false);
@@ -277,31 +275,23 @@ StartupSim::run()
     res.steadyIpc = (m.hasSbt ? 1.0 + app.steadyGain : 1.0) /
                     app.cpiRef;
 
-    // CPIs per emulation mode (see MachineConfig docs). The quoted
-    // steady-state gain is an aggregate at ~85% hotspot coverage, so
-    // optimized code itself runs proportionally faster.
-    const double cpi_sbt =
+    // The cost model's execution rates scaled by the app's CPIs:
+    // cold-code rates by the reference CPI, translated-code rates by
+    // the optimized CPI. The quoted steady-state gain is an aggregate
+    // at ~85% hotspot coverage, so optimized code itself runs
+    // proportionally faster. (BBT machines translate every block on
+    // first touch, so they never execute cold code.)
+    const double cpi_opt =
         app.cpiRef / (1.0 + app.steadyGain / m.steadyCoverage);
-    const double cpi_bbt = cpi_sbt * m.coldCpiFactor;
-    double cpi_cold = app.cpiRef;
-    switch (m.cold) {
-      case ColdMode::Native:
-      case ColdMode::X86Direct:
-        cpi_cold = app.cpiRef;
-        break;
-      case ColdMode::Interpret:
-        cpi_cold = app.cpiRef * m.coldCpiFactor;
-        break;
-      case ColdMode::BbtCode:
-        cpi_cold = cpi_bbt; // cold code runs as BBT translations
-        break;
-    }
+    const double cpi_sbt = cpi_opt * m.cost.sbtExec;
+    const double cpi_bbt = cpi_opt * m.cost.bbtExec;
+    const double cpi_cold = app.cpiRef * m.cost.coldExec;
 
     // XLTx86 busy fraction of BBT translation time (VM.be): 4 of the
     // ~20 cycles per instruction keep the decode logic on.
     const double xlt_busy_frac =
-        m.kind == MachineKind::VmBe && m.costs.bbtCyclesPerInsn > 0
-            ? 4.0 / m.costs.bbtCyclesPerInsn
+        m.kind == MachineKind::VmBe && m.cost.bbtTranslate > 0
+            ? 4.0 / m.cost.bbtTranslate
             : 0.0;
 
     // One staging state machine (the engine's), two consumers: the
@@ -329,7 +319,7 @@ StartupSim::run()
         // cycles) spans Delta_SBT / CPI_pre-hot retired instructions.
         const double cpi_prehot = sp.translateCold ? cpi_bbt : cpi_cold;
         sp.asyncLatencyPerInsn =
-            cpi_prehot > 0.0 ? m.costs.sbtCyclesPerInsn / cpi_prehot
+            cpi_prehot > 0.0 ? m.cost.sbtOptimize / cpi_prehot
                              : 0.0;
     }
     engine::StagedPipeline pipeline(blocks, sp, events);

@@ -23,17 +23,13 @@ std::unique_ptr<engine::ColdExecutor>
 makeColdExecutor(x86::Memory &mem, const VmmConfig &cfg, VmmStats &st,
                  engine::BranchProfile &prof)
 {
-    // The decode cache is part of the host fast path: the legacy
-    // baseline re-decodes every interpreted step.
-    const std::size_t dc_lines =
-        cfg.fastDispatch ? cfg.decodeCacheEntries : 0;
     switch (cfg.cold) {
       case engine::ColdKind::Interpret:
         return std::make_unique<engine::InterpretColdExecutor>(
-            mem, st, prof, dc_lines);
+            mem, st, prof, cfg.decodeCacheEntries);
       case engine::ColdKind::HardwareX86Mode:
         return std::make_unique<engine::X86ModeColdExecutor>(
-            mem, st, prof, dc_lines);
+            mem, st, prof, cfg.decodeCacheEntries);
       case engine::ColdKind::SoftwareBbt:
         return std::make_unique<engine::BbtColdExecutor>(
             std::make_unique<engine::SoftwareBbtBackend>(
@@ -45,7 +41,7 @@ makeColdExecutor(x86::Memory &mem, const VmmConfig &cfg, VmmStats &st,
       case engine::ColdKind::TemplateBbt:
         return std::make_unique<engine::BbtColdExecutor>(
             std::make_unique<engine::TemplateBbtBackend>(
-                mem, cfg.maxBlockInsns, cfg.tmplCoveragePct));
+                mem, cfg.maxBlockInsns));
     }
     cdvm_panic("unknown cold-executor kind");
 }
@@ -352,7 +348,7 @@ Vmm::runLoop(x86::CpuState &cpu, InstCount max_insns)
         // Both hops are handle resolutions, so a last-executed cursor
         // or chain link that a flush freed simply misses.
         Translation *t = nullptr;
-        if (cfg.enableChaining && lastTrans) {
+        if (lastTrans) {
             if (Translation *from = ccm.resolve(lastTrans)) {
                 t = ccm.resolve(from->chainedTo(pc));
                 if (t)
@@ -440,16 +436,14 @@ Vmm::runLoop(x86::CpuState &cpu, InstCount max_insns)
         // The lookup runs on every exit, so a link moves to a newly
         // installed superblock; only a created or retargeted link is
         // counted and traced.
-        if (cfg.enableChaining) {
-            Translation *succ = ccm.lookup(cpu.eip);
-            if (succ && executed->addChain(cpu.eip, succ->id)) {
-                ++st.chainsInstalled;
-                StageEvent ev;
-                ev.stage = TracePhase::Chain;
-                ev.instant = true;
-                ev.arg = cpu.eip;
-                events.emit(ev);
-            }
+        Translation *succ = ccm.lookup(cpu.eip);
+        if (succ && executed->addChain(cpu.eip, succ->id)) {
+            ++st.chainsInstalled;
+            StageEvent ev;
+            ev.stage = TracePhase::Chain;
+            ev.instant = true;
+            ev.arg = cpu.eip;
+            events.emit(ev);
         }
         lastTrans = executed->id;
 

@@ -10,14 +10,17 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/statreg.hh"
 #include "common/threadpool.hh"
+#include "engine/cost_model.hh"
 #include "fleet/arrival.hh"
 #include "fleet/fleet.hh"
 #include "fleet/scheduler.hh"
+#include "timing/machine_config.hh"
 #include "vmm/vmm.hh"
 #include "workload/program_gen.hh"
 #include "x86/interp.hh"
@@ -396,6 +399,94 @@ TEST(SharedPool, ManyProducersOnePool)
         EXPECT_GE(vms[i]->stats().totalRetired(), target);
 }
 
+// --- one cost model for both clocks ---------------------------------
+
+TEST(CostModel, FleetClockAndTimingMachinesShareOnePriceTable)
+{
+    // One event of each kind either clock sees.
+    auto ev = [](TracePhase stage, u64 insns) {
+        engine::StageEvent e;
+        e.stage = stage;
+        e.insns = insns;
+        return e;
+    };
+    std::vector<engine::StageEvent> events = {
+        ev(TracePhase::Interp, 1000),
+        ev(TracePhase::X86Mode, 2000),
+        ev(TracePhase::BbtTranslate, 3000),
+        ev(TracePhase::SbtOptimize, 400),
+        ev(TracePhase::SbtOptimize, 500),
+        ev(TracePhase::BbtExec, 6000),
+        ev(TracePhase::SbtExec, 7000),
+        ev(TracePhase::WarmInstall, 8000),
+        ev(TracePhase::Chain, 0),
+        ev(TracePhase::CacheFlush, 0),
+    };
+    events[4].background = true;
+    events[8].instant = true;
+    events[9].instant = true;
+
+    for (const std::string &name : engine::EngineConfig::names()) {
+        const engine::EngineConfig cfg =
+            *engine::EngineConfig::byName(name);
+        const engine::CostModel model =
+            engine::CostModel::forTier(cfg.cold);
+        fleet::WorkClockSink clock(cfg.cold);
+        double want = 0.0;
+        for (const engine::StageEvent &e : events) {
+            clock.onEvent(e);
+            want += model.price(e).critical;
+        }
+        EXPECT_EQ(clock.cycles(), static_cast<u64>(want)) << name;
+        // Background Delta_SBT is occupancy, never critical path.
+        EXPECT_EQ(model.price(events[4]).critical, 0.0) << name;
+        EXPECT_EQ(model.price(events[4]).occupancy,
+                  model.price(events[3]).critical * 500 / 400)
+            << name;
+    }
+
+    // Each tier's timing machine carries the same table.
+    const std::pair<engine::ColdKind, timing::MachineConfig> machines[] = {
+        {engine::ColdKind::Interpret, timing::MachineConfig::vmInterp()},
+        {engine::ColdKind::HardwareX86Mode, timing::MachineConfig::vmFe()},
+        {engine::ColdKind::SoftwareBbt, timing::MachineConfig::vmSoft()},
+        {engine::ColdKind::XltAssistedBbt, timing::MachineConfig::vmBe()},
+        {engine::ColdKind::TemplateBbt,
+         timing::MachineConfig::vmSoftTmpl()},
+    };
+    for (const auto &[tier, machine] : machines)
+        EXPECT_EQ(machine.cost, engine::CostModel::forTier(tier))
+            << machine.name;
+}
+
+TEST(CostModel, WorkClockChargesTheConstructorWarmFill)
+{
+    fleet::FleetConfig cfg;
+    cfg.workloads = 1;
+    cfg.targetInsns = 100'000;
+    cfg.workloadParams = smallShape(0);
+    engine::SharedServices svc;
+    svc.imageEndpoint = primedImageStore(cfg);
+
+    workload::ProgramParams p = cfg.workloadParams;
+    p.seed = fleet::deriveSeed(cfg.fleetSeed, 0);
+    const workload::Program prog = workload::generateProgram(p);
+    x86::Memory mem;
+    prog.loadInto(mem);
+    vmm::Vmm vm(mem, fleet::tenantEngineConfig(cfg.engineCfg), svc);
+    const u64 filled = vm.stats().warmInsnsInstalled;
+    ASSERT_GT(filled, 0u);
+
+    // The fill ran before any sink could attach; attach() bills it.
+    fleet::WorkClockSink clock(cfg.engineCfg.cold);
+    clock.attach(vm);
+    EXPECT_EQ(clock.cycles(),
+              static_cast<u64>(
+                  engine::CostModel::forTier(cfg.engineCfg.cold)
+                      .warmInstall *
+                  static_cast<double>(filled)));
+}
+
 // --- FleetServer ----------------------------------------------------
 
 TEST(Fleet, SingleContextMatchesPlainVmm)
@@ -516,6 +607,30 @@ TEST(Fleet, WarmBeatsColdP99)
     // The tentpole gate, in miniature: warm p99 strictly faster.
     EXPECT_GT(wr.p99TimeToMilestone, 0.0);
     EXPECT_LT(wr.p99TimeToMilestone, cr.p99TimeToMilestone);
+}
+
+TEST(Fleet, TemplateTierColdP99BelowSoftware)
+{
+    // The software and template BBT tiers retire the same blocks; only
+    // Delta_BBT differs (83 vs 40 cycles/insn), so a cold template
+    // fleet reaches its milestone strictly sooner.
+    fleet::FleetConfig cfg;
+    cfg.contexts = 8;
+    cfg.workloads = 2;
+    cfg.fleetSeed = 3;
+    cfg.targetInsns = 400'000;
+    cfg.milestoneInsns = 400'000;
+    cfg.workloadParams = smallShape(0);
+
+    cfg.engineCfg = engine::EngineConfig::vmSoft();
+    const fleet::FleetResult soft = fleet::FleetServer(cfg).run();
+    cfg.engineCfg = engine::EngineConfig::vmSoftTmpl();
+    const fleet::FleetResult tmpl = fleet::FleetServer(cfg).run();
+
+    EXPECT_EQ(tmpl.totalRetired, soft.totalRetired);
+    EXPECT_EQ(tmpl.reachedMilestone, cfg.contexts);
+    EXPECT_GT(tmpl.p99TimeToMilestone, 0.0);
+    EXPECT_LT(tmpl.p99TimeToMilestone, soft.p99TimeToMilestone);
 }
 
 TEST(Fleet, EndpointBoundFleetExportsImageStats)

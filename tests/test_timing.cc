@@ -38,10 +38,11 @@ TEST(MachineConfig, PresetsMatchTable2)
     EXPECT_EQ(machines[2].kind, MachineKind::VmBe);
     EXPECT_EQ(machines[3].kind, MachineKind::VmFe);
 
-    EXPECT_DOUBLE_EQ(machines[1].costs.bbtCyclesPerInsn, 83.0);
-    EXPECT_DOUBLE_EQ(machines[1].costs.bbtNativePerInsn, 105.0);
-    EXPECT_DOUBLE_EQ(machines[2].costs.bbtCyclesPerInsn, 20.0);
-    EXPECT_DOUBLE_EQ(machines[3].costs.bbtCyclesPerInsn, 0.0);
+    EXPECT_DOUBLE_EQ(machines[1].cost.bbtTranslate, 83.0);
+    EXPECT_DOUBLE_EQ(machines[2].cost.bbtTranslate, 20.0);
+    EXPECT_DOUBLE_EQ(machines[3].cost.bbtTranslate, 0.0);
+    EXPECT_DOUBLE_EQ(MachineConfig::vmSoftTmpl().cost.bbtTranslate, 40.0);
+    EXPECT_DOUBLE_EQ(MachineConfig::vmInterp().cost.coldExec, 35.0);
     for (const auto &m : machines) {
         EXPECT_EQ(m.pipeline.width, 3u);
         EXPECT_EQ(m.pipeline.robEntries, 128u);

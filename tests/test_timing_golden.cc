@@ -156,6 +156,9 @@ TEST(TimingGolden, Fig2Fig8MachinesMatchGoldenFile)
         {"vm_fe", timing::MachineConfig::vmFe()},
         {"vm_soft_async", timing::MachineConfig::vmSoftAsync(2)},
         {"vm_be_async", timing::MachineConfig::vmBeAsync(2)},
+        {"vm_soft_tmpl", timing::MachineConfig::vmSoftTmpl()},
+        {"vm_soft_warm", timing::MachineConfig::vmSoftWarm()},
+        {"vm_be_warm", timing::MachineConfig::vmBeWarm()},
     };
     for (const Entry &e : entries) {
         for (const auto &kv : metricsFor(e.key, simulate(e.cfg)))
