@@ -99,7 +99,8 @@ addObservabilityFlags(Cli &cli)
     cli.flag("trace-out", "",
              "dump the phase tracer as Chrome trace JSON to PATH");
     cli.flag("trace-buffer-events", "262144",
-             "phase tracer ring-buffer capacity in events");
+             "phase tracer ring-buffer capacity in events (rounded "
+             "up to a power of two)");
 }
 
 void

@@ -1,5 +1,6 @@
 #include "common/logging.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,6 +77,27 @@ bool
 quiet()
 {
     return curLevel == LogLevel::Silent;
+}
+
+bool
+writeTextFile(const std::string &path, const std::string &doc,
+              const char *what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        cdvm_warn("cannot open %s output '%s': %s", what, path.c_str(),
+                  std::strerror(errno));
+        return false;
+    }
+    const bool wrote =
+        std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+    const bool closed = std::fclose(f) == 0;
+    if (!wrote || !closed) {
+        cdvm_warn("cannot write %s output '%s': %s", what, path.c_str(),
+                  std::strerror(errno));
+        return false;
+    }
+    return true;
 }
 
 CrashHookId

@@ -58,6 +58,16 @@ void setQuiet(bool quiet);
 bool quiet();
 
 /**
+ * Write doc to path, replacing its contents. Every step is checked,
+ * fclose included, so a write that fails only at the final flush
+ * (ENOSPC, EIO) is a failure; on failure, warns naming the output
+ * ("stats", "trace", ...). Not atomic, so unlike dbt::atomicWriteFile
+ * it can target paths such as /dev/stdout. @return success.
+ */
+bool writeTextFile(const std::string &path, const std::string &doc,
+                   const char *what);
+
+/**
  * Crash hooks run once at the top of panic(), before the abort -- the
  * flight recorder registers its dump here so abnormal exits leave a
  * post-mortem artifact. The registry supports any number of live

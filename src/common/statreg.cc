@@ -347,15 +347,7 @@ StatRegistry::dumpJson() const
 bool
 StatRegistry::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        cdvm_warn("cannot open stats output '%s'", path.c_str());
-        return false;
-    }
-    std::string doc = dumpJson();
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return n == doc.size();
+    return writeTextFile(path, dumpJson(), "stats");
 }
 
 void
@@ -451,15 +443,7 @@ SnapshotSeries::dumpJson() const
 bool
 SnapshotSeries::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        cdvm_warn("cannot open snapshot output '%s'", path.c_str());
-        return false;
-    }
-    std::string doc = dumpJson();
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return n == doc.size();
+    return writeTextFile(path, dumpJson(), "snapshot");
 }
 
 } // namespace cdvm

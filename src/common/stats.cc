@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <sstream>
 
 namespace cdvm
 {
@@ -99,59 +98,6 @@ LogHistogram::weightAtOrAbove(u64 threshold) const
             sum += counts[k];
     }
     return sum;
-}
-
-Scalar &
-StatGroup::find(const std::string &name, const std::string &desc)
-{
-    auto it = index.find(name);
-    if (it != index.end()) {
-        Scalar &s = stats[it->second];
-        if (s.desc.empty() && !desc.empty())
-            s.desc = desc;
-        return s;
-    }
-    index.emplace(name, stats.size());
-    stats.push_back(Scalar{name, desc, 0.0});
-    return stats.back();
-}
-
-void
-StatGroup::add(const std::string &name, double delta, const std::string &desc)
-{
-    find(name, desc).value += delta;
-}
-
-void
-StatGroup::set(const std::string &name, double value, const std::string &desc)
-{
-    find(name, desc).value = value;
-}
-
-double
-StatGroup::get(const std::string &name) const
-{
-    auto it = index.find(name);
-    return it == index.end() ? 0.0 : stats[it->second].value;
-}
-
-bool
-StatGroup::has(const std::string &name) const
-{
-    return index.count(name) != 0;
-}
-
-std::string
-StatGroup::dump(const std::string &prefix) const
-{
-    std::ostringstream os;
-    for (const Scalar &s : stats) {
-        os << prefix << s.name << " " << s.value;
-        if (!s.desc.empty())
-            os << " # " << s.desc;
-        os << "\n";
-    }
-    return os.str();
 }
 
 } // namespace cdvm

@@ -1,6 +1,6 @@
 /**
  * @file
- * Lightweight statistics: scalar counters, averages, and the
+ * Lightweight statistics: running averages and the
  * logarithmically-bucketed histograms used by the frequency-profile
  * experiments (paper Figure 3).
  */
@@ -8,9 +8,6 @@
 #ifndef CDVM_COMMON_STATS_HH
 #define CDVM_COMMON_STATS_HH
 
-#include <cstddef>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -101,43 +98,6 @@ class LogHistogram
     double base;
     std::vector<double> counts;
     double total = 0.0;
-};
-
-/**
- * A named scalar statistic with a description, grouped into a StatGroup
- * for uniform dumping.
- */
-struct Scalar
-{
-    std::string name;
-    std::string desc;
-    double value = 0.0;
-};
-
-/** A flat, ordered collection of named scalar statistics. */
-class StatGroup
-{
-  public:
-    /** Add (or accumulate into) the named statistic. */
-    void add(const std::string &name, double delta, const std::string &desc = "");
-
-    /** Set the named statistic to an absolute value. */
-    void set(const std::string &name, double value, const std::string &desc = "");
-
-    /** Value of the named statistic (0 if absent). */
-    double get(const std::string &name) const;
-
-    bool has(const std::string &name) const;
-
-    const std::vector<Scalar> &all() const { return stats; }
-
-    /** Render as "name  value  # desc" lines. */
-    std::string dump(const std::string &prefix = "") const;
-
-  private:
-    Scalar &find(const std::string &name, const std::string &desc);
-    std::vector<Scalar> stats;
-    std::map<std::string, std::size_t> index;
 };
 
 } // namespace cdvm

@@ -1,5 +1,6 @@
 #include "common/trace.hh"
 
+#include <bit>
 #include <cstdio>
 #include <sstream>
 
@@ -53,6 +54,12 @@ tracePhaseCategory(TracePhase p)
     return PHASE_INFO[static_cast<std::size_t>(p)].cat;
 }
 
+Tracer::Tracer(std::size_t capacity_events)
+{
+    if (capacity_events)
+        enable(capacity_events);
+}
+
 Tracer &
 Tracer::global()
 {
@@ -65,36 +72,17 @@ Tracer::enable(std::size_t capacity_events)
 {
     if (capacity_events == 0)
         cdvm_fatal("trace buffer capacity must be positive");
-    buf.assign(capacity_events, TraceEvent{});
+    buf.assign(std::bit_ceil(capacity_events), TraceEvent{});
+    mask = buf.size() - 1;
     total = 0;
-    on = true;
 }
 
 void
 Tracer::disable()
 {
-    on = false;
     total = 0;
+    mask = 0;
     std::vector<TraceEvent>().swap(buf); // release, not just clear
-}
-
-void
-Tracer::record(TracePhase phase, u64 ts, u64 dur, u64 arg, u8 track)
-{
-    TraceEvent &e = buf[total % buf.size()];
-    e.ts = ts;
-    e.dur = dur;
-    e.arg = arg;
-    e.phase = phase;
-    e.track = track;
-    ++total;
-}
-
-std::size_t
-Tracer::size() const
-{
-    return total < buf.size() ? static_cast<std::size_t>(total)
-                              : buf.size();
 }
 
 std::vector<TraceEvent>
@@ -103,9 +91,8 @@ Tracer::snapshot() const
     std::vector<TraceEvent> out;
     const std::size_t n = size();
     out.reserve(n);
-    const u64 first = total > buf.size() ? total - buf.size() : 0;
-    for (u64 i = first; i < total; ++i)
-        out.push_back(buf[i % buf.size()]);
+    for (u64 i = total - n; i < total; ++i)
+        out.push_back(buf[static_cast<std::size_t>(i) & mask]);
     return out;
 }
 
@@ -154,15 +141,34 @@ Tracer::dumpChromeJson() const
 bool
 Tracer::writeChromeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        cdvm_warn("cannot open trace output '%s'", path.c_str());
-        return false;
+    return writeTextFile(path, dumpChromeJson(), "trace");
+}
+
+std::string
+Tracer::dumpText() const
+{
+    std::ostringstream os;
+    os << "# flight recorder: " << size() << " of " << recorded()
+       << " events retained (" << dropped() << " overwritten), "
+       << "capacity " << capacity() << "\n";
+    os << "# clock phase insns arg\n";
+    char line[96];
+    for (const TraceEvent &e : snapshot()) {
+        std::snprintf(line, sizeof(line),
+                      "%12llu %-13s %6llu 0x%llx\n",
+                      static_cast<unsigned long long>(e.ts),
+                      tracePhaseName(e.phase),
+                      static_cast<unsigned long long>(e.dur),
+                      static_cast<unsigned long long>(e.arg));
+        os << line;
     }
-    std::string doc = dumpChromeJson();
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return n == doc.size();
+    return os.str();
+}
+
+bool
+Tracer::writeText(const std::string &path) const
+{
+    return writeTextFile(path, dumpText(), "flight-dump");
 }
 
 } // namespace cdvm

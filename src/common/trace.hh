@@ -1,26 +1,40 @@
 /**
  * @file
- * Low-overhead phase/event tracer for the staged-emulation pipeline.
+ * Low-overhead phase/event ring for the staged-emulation pipeline.
  *
- * A preallocated ring buffer of timestamped spans records what the VM
- * is doing over (virtual) time: interpreting, BBT-translating,
+ * A preallocated power-of-two ring of timestamped spans records what
+ * the VM is doing over (virtual) time: interpreting, BBT-translating,
  * executing translated code, optimizing hotspots, flushing caches,
- * chaining, running hardware assists. When the buffer wraps, the
+ * chaining, running hardware assists. When the ring wraps, the
  * oldest events are overwritten (the dropped count is kept).
  *
+ * One ring type serves two kinds of instance. Tracer::global() is the
+ * run-wide timeline: enabled explicitly, sized generously, dumped
+ * once at exit as Chrome trace JSON. Each Vmm also owns a small
+ * always-on ring, its flight recorder: it keeps the last few thousand
+ * stage events for an on-demand, flush-storm or abnormal-exit text
+ * dump ("what was the VM doing just before *this*").
+ *
  * Time is whatever monotonic u64 the instrumented layer owns: the
- * functional VMM uses a work-unit clock (retired instructions advance
- * it by 1 each, translations by the number of instructions
- * translated), the timing simulators use cycles. Layers record on
- * separate tracks so the timelines do not interleave.
+ * functional VMM uses the event stream's work-unit clock (retired
+ * instructions advance it by 1 each, translations by the number of
+ * instructions translated), the timing simulators use cycles. Layers
+ * record on separate tracks so the timelines do not interleave.
+ *
+ * Recording is one masked store plus a counter increment, with no
+ * locks and no allocation after the ring is sized: each ring has one
+ * producer thread (background SBT workers never emit stage events).
+ * The crash-dump path may read a ring from another thread, which is
+ * acceptable for a best-effort post-mortem artifact.
  *
  * Disabled mode costs one predictable branch per call site and holds
- * no allocation: the buffer is only created by enable() and released
- * by disable(). Compiling with -DCDVM_NO_TRACING removes the call
- * sites entirely (the CDVM_TRACE_* macros become no-ops).
+ * no allocation: a disabled ring has no buffer. Compiling with
+ * -DCDVM_NO_TRACING removes the CDVM_TRACE_* call sites entirely
+ * (the macros become no-ops).
  *
  * Output is Chrome trace_event JSON ("X" complete events), loadable
- * in Perfetto (https://ui.perfetto.dev) or chrome://tracing.
+ * in Perfetto (https://ui.perfetto.dev) or chrome://tracing, or the
+ * flight recorder's plain-text dump.
  */
 
 #ifndef CDVM_COMMON_TRACE_HH
@@ -48,7 +62,7 @@ enum class TracePhase : u8
     Dispatch,     //!< VMM dispatch / lookup work
     HwAssist,     //!< hardware-assist activity (XLTx86, BBB hit)
     ColdExec,     //!< timing-sim cold execution (native/interp)
-    WarmInstall,  //!< warm-start repository install work
+    WarmInstall,  //!< warm-start image install work
     NUM_PHASES,
 };
 
@@ -72,7 +86,12 @@ struct TraceEvent
 class Tracer
 {
   public:
-    Tracer() = default;
+    /**
+     * Preallocate a ring of at least capacity_events entries (rounded
+     * up to a power of two). 0 constructs a disabled tracer with no
+     * buffer.
+     */
+    explicit Tracer(std::size_t capacity_events = 0);
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
@@ -80,21 +99,22 @@ class Tracer
     static Tracer &global();
 
     /**
-     * Start tracing into a freshly preallocated buffer of
-     * capacity_events entries (older contents are discarded).
+     * Start tracing into a freshly preallocated ring of at least
+     * capacity_events entries, rounded up to a power of two (older
+     * contents are discarded).
      */
     void enable(std::size_t capacity_events);
 
     /** Stop tracing and release the buffer. */
     void disable();
 
-    bool enabled() const { return on; }
+    bool enabled() const { return !buf.empty(); }
 
     /** Record a span; no-op (one branch) when disabled. */
     void
     span(TracePhase phase, u64 ts, u64 dur, u64 arg = 0, u8 track = 0)
     {
-        if (!on)
+        if (buf.empty())
             return;
         record(phase, ts, dur, arg, track);
     }
@@ -103,22 +123,27 @@ class Tracer
     void
     instant(TracePhase phase, u64 ts, u64 arg = 0, u8 track = 0)
     {
-        if (!on)
+        if (buf.empty())
             return;
         record(phase, ts, 0, arg, track);
     }
 
     /** Events currently retained (<= capacity). */
-    std::size_t size() const;
+    std::size_t
+    size() const
+    {
+        return total < buf.size() ? static_cast<std::size_t>(total)
+                                  : buf.size();
+    }
 
     /** Ring capacity in events (0 when disabled). */
     std::size_t capacity() const { return buf.size(); }
 
-    /** Events ever recorded since enable(). */
+    /** Events ever recorded since enable() or clear(). */
     u64 recorded() const { return total; }
 
     /** Events lost to ring wraparound. */
-    u64 dropped() const { return total > buf.size() ? total - buf.size() : 0; }
+    u64 dropped() const { return total - size(); }
 
     /** Retained events, oldest first. */
     std::vector<TraceEvent> snapshot() const;
@@ -132,12 +157,32 @@ class Tracer
     /** Write dumpChromeJson() to path. @return false on I/O failure. */
     bool writeChromeJson(const std::string &path) const;
 
-  private:
-    void record(TracePhase phase, u64 ts, u64 dur, u64 arg, u8 track);
+    /**
+     * The flight recorder's plain-text dump: a header line carrying
+     * the retained/recorded/overwritten totals, then one
+     * "clock phase insns arg" row per retained event, oldest first.
+     */
+    std::string dumpText() const;
 
-    bool on = false;
+    /** Write dumpText() to path. @return false on I/O failure. */
+    bool writeText(const std::string &path) const;
+
+  private:
+    void
+    record(TracePhase phase, u64 ts, u64 dur, u64 arg, u8 track)
+    {
+        TraceEvent &e = buf[static_cast<std::size_t>(total) & mask];
+        e.ts = ts;
+        e.dur = dur;
+        e.arg = arg;
+        e.phase = phase;
+        e.track = track;
+        ++total;
+    }
+
     std::vector<TraceEvent> buf;
-    u64 total = 0; //!< events ever recorded; ring head = total % size
+    std::size_t mask = 0;
+    u64 total = 0; //!< events ever recorded; next slot = total & mask
 };
 
 /**

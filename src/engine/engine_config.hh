@@ -136,16 +136,10 @@ struct EngineConfig
     /**
      * Where flush-storm and abnormal-exit flight dumps are written
      * (empty: storm dumps are skipped and crash dumps go to stderr).
+     * What makes a storm is fixed: FlightSink::STORM_FLUSHES flushes
+     * within FlightSink::STORM_WINDOW work units.
      */
     std::string flightDumpPath;
-    /**
-     * CacheFlush events within flushStormWindowInsns executed
-     * instructions that constitute a storm and trigger an automatic
-     * flight dump (0 disables storm detection).
-     */
-    unsigned flushStormThreshold = 8;
-    /** Storm detection window, in executed x86 instructions. */
-    u64 flushStormWindowInsns = 1u << 20;
     /**
      * Take a SnapshotSeries row of the vmm.* counters every N executed
      * instructions (0 disables). Rows accumulate in Vmm::snapshots().

@@ -9,8 +9,8 @@
  * using the TracePhase vocabulary (the same phases PR 1's tracer
  * records). Consumers attach as StageSinks:
  *
- *  - TraceSink turns events into tracer spans on a work-unit clock
- *    (the functional VMM's track-0 timeline);
+ *  - TraceSink turns events into tracer spans on the stream's
+ *    work-unit clock (the functional VMM's track-0 timeline);
  *  - StageCounter tallies retired instructions and translation
  *    activity per stage (functional retire counts);
  *  - the timing simulator's cycle model (in startup_sim.cc) prices
@@ -21,6 +21,12 @@
  * it covers, and where the covered code lives both in the architected
  * image (x86Addr/x86Bytes) and -- for translated stages -- in the
  * code cache (codeAddr/codeBytes).
+ *
+ * The stream owns the one work-unit clock: emit() stamps each event
+ * with the clock before it and advances the clock by the event's
+ * instructions (instants and empty spans do not advance it). Every
+ * consumer that needs a timeline reads StageEvent::clock, so the
+ * tracer and the flight recorder share one timebase by construction.
  */
 
 #ifndef CDVM_ENGINE_EVENTS_HH
@@ -42,6 +48,8 @@ struct StageEvent
     TracePhase stage = TracePhase::Interp;
     /** x86 instructions covered (work units; 0 for instants). */
     u64 insns = 0;
+    /** Work units before this event (stamped by EventStream::emit). */
+    u64 clock = 0;
     /** Architected address of the covered code. */
     Addr x86Addr = 0;
     u32 x86Bytes = 0;
@@ -82,21 +90,28 @@ class EventStream
   public:
     void attach(StageSink *s) { sinks.push_back(s); }
 
+    /** Stamp e with the clock, advance the clock, and fan e out. */
     void
-    emit(const StageEvent &e)
+    emit(StageEvent e)
     {
+        e.clock = clock_;
+        if (!e.instant)
+            clock_ += e.insns;
         for (StageSink *s : sinks)
             s->onEvent(e);
     }
 
+    /** The work-unit clock after all events so far. */
+    u64 clock() const { return clock_; }
+
   private:
     std::vector<StageSink *> sinks;
+    u64 clock_ = 0;
 };
 
 /**
- * Tracer consumer: renders the event stream as phase spans on a
- * monotonically advancing work-unit clock (each covered instruction
- * advances it by one), exactly as the pre-engine VMM recorded them.
+ * Tracer consumer: renders the event stream as phase spans on the
+ * stream's work-unit clock (empty spans are skipped).
  */
 class TraceSink : public StageSink
 {
@@ -110,22 +125,17 @@ class TraceSink : public StageSink
     onEvent(const StageEvent &e) override
     {
         if (e.instant) {
-            CDVM_TRACE_INSTANT(tr, e.stage, vclock, e.arg, track);
+            CDVM_TRACE_INSTANT(tr, e.stage, e.clock, e.arg, track);
             return;
         }
         if (e.insns == 0)
             return;
-        CDVM_TRACE_SPAN(tr, e.stage, vclock, e.insns, e.arg, track);
-        vclock += e.insns;
+        CDVM_TRACE_SPAN(tr, e.stage, e.clock, e.insns, e.arg, track);
     }
-
-    /** The work-unit clock after all events so far. */
-    u64 clock() const { return vclock; }
 
   private:
     Tracer &tr;
     u8 track;
-    u64 vclock = 0;
 };
 
 /**

@@ -122,7 +122,6 @@ SamplingProfiler::exportStats(StatRegistry &reg,
         reg.set(prefix + "." + leaf, static_cast<double>(v), desc);
     };
     set("period", period_, "sampling period (work units per sample)");
-    set("clock", vclock, "work-unit clock seen by the profiler");
     set("samples", total, "hotness samples drawn");
     set("pages", pages.size(), "distinct guest pages sampled");
     set("translations", trans.size(), "distinct translations sampled");
@@ -138,8 +137,8 @@ std::string
 SamplingProfiler::dumpJson() const
 {
     std::ostringstream os;
-    os << "{\n  \"period\": " << period_ << ",\n  \"clock\": " << vclock
-       << ",\n  \"samples\": " << total << ",\n  \"stages\": {";
+    os << "{\n  \"period\": " << period_ << ",\n  \"samples\": " << total
+       << ",\n  \"stages\": {";
     for (unsigned i = 0; i < NUM_HOT_STAGES; ++i) {
         os << (i ? ", " : "") << "\""
            << hotStageName(static_cast<HotStage>(i))
@@ -178,15 +177,7 @@ SamplingProfiler::dumpJson() const
 bool
 SamplingProfiler::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        cdvm_warn("cannot open profile output '%s'", path.c_str());
-        return false;
-    }
-    std::string doc = dumpJson();
-    std::size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    return n == doc.size();
+    return writeTextFile(path, dumpJson(), "profile");
 }
 
 std::string
@@ -194,7 +185,7 @@ SamplingProfiler::dumpTopN(std::size_t n) const
 {
     std::ostringstream os;
     os << "guest-hotness profile: " << total << " samples, period "
-       << period_ << ", clock " << vclock << "\n";
+       << period_ << "\n";
     if (!total)
         return os.str();
     os << "      page base   samples  share    cold     bbt     sbt"
@@ -226,14 +217,14 @@ SamplingProfiler::clear()
 }
 
 void
-FlightSink::noteFlush()
+FlightSink::noteFlush(u64 clock)
 {
-    flushClocks.push_back(vclock);
+    flushClocks.push_back(clock);
     // Expire flushes that slid out of the window (the vector stays
-    // tiny: at most threshold entries survive any storm reset).
+    // tiny: at most STORM_FLUSHES entries survive any storm reset).
     std::size_t stale = 0;
     while (stale < flushClocks.size() &&
-           vclock - flushClocks[stale] > window) {
+           clock - flushClocks[stale] > STORM_WINDOW) {
         ++stale;
     }
     if (stale) {
@@ -241,11 +232,11 @@ FlightSink::noteFlush()
                           flushClocks.begin() +
                               static_cast<std::ptrdiff_t>(stale));
     }
-    if (flushClocks.size() < threshold)
+    if (flushClocks.size() < STORM_FLUSHES)
         return;
 
     // Storm: dump and restart the episode count, so a sustained storm
-    // produces one dump per threshold flushes instead of one per
+    // produces one dump per STORM_FLUSHES flushes instead of one per
     // flush.
     ++stormCount;
     flushClocks.clear();
@@ -253,15 +244,15 @@ FlightSink::noteFlush()
         cdvm_debug("flight recorder: cache-flush storm #%llu at clock "
                    "%llu (no dump path configured)",
                    static_cast<unsigned long long>(stormCount),
-                   static_cast<unsigned long long>(vclock));
+                   static_cast<unsigned long long>(clock));
         return;
     }
-    if (rec_.writeText(dumpPath)) {
+    if (ring_.writeText(dumpPath)) {
         ++stormDumpCount;
         cdvm_debug("flight recorder: cache-flush storm #%llu at clock "
                    "%llu, dumped %zu events to %s",
                    static_cast<unsigned long long>(stormCount),
-                   static_cast<unsigned long long>(vclock), rec_.size(),
+                   static_cast<unsigned long long>(clock), ring_.size(),
                    dumpPath.c_str());
     }
 }

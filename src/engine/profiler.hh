@@ -10,12 +10,13 @@
  *    go" without per-instruction bookkeeping: cost is O(1) per stage
  *    event (a countdown decrement) plus O(1) map updates only on the
  *    sampled events. The ranking it produces orders the warm-start
- *    repository hottest-first and is exportable as JSON.
+ *    image hottest-first and is exportable as JSON.
  *
- *  - FlightSink feeds every event into the in-VM FlightRecorder ring
- *    and watches for code-cache flush storms: when more than a
- *    configured number of CacheFlush events land inside a sliding
- *    window of executed instructions, the ring is dumped to a file
+ *  - FlightSink feeds every event, at its stream-clock stamp
+ *    (StageEvent::clock), into the Vmm's flight-recorder ring (a
+ *    Tracer) and watches for code-cache flush storms: when
+ *    STORM_FLUSHES CacheFlush events land inside a sliding window of
+ *    STORM_WINDOW work units, the ring is dumped to a file
  *    automatically -- the post-mortem for "the caches thrashed and
  *    startup fell off a cliff".
  *
@@ -30,8 +31,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flight_recorder.hh"
 #include "common/statreg.hh"
+#include "common/trace.hh"
 #include "common/types.hh"
 #include "engine/events.hh"
 #include "x86/memory.hh"
@@ -48,7 +49,7 @@ enum class HotStage : u8
     Cold, //!< interpretation, x86-mode, untranslated execution
     Bbt,  //!< basic-block translation + BBT code execution
     Sbt,  //!< superblock optimization + SBT code execution
-    Warm, //!< warm-start repository install work
+    Warm, //!< warm-start image install work
 };
 
 inline constexpr unsigned NUM_HOT_STAGES = 4;
@@ -110,7 +111,6 @@ class SamplingProfiler : public StageSink
     {
         if (e.instant || e.insns == 0)
             return;
-        vclock += e.insns;
         u64 n = e.insns;
         // Hot path: the countdown usually just shrinks.
         if (n < untilNext) {
@@ -127,9 +127,6 @@ class SamplingProfiler : public StageSink
 
     bool enabled() const { return period_ != 0; }
     u64 period() const { return period_; }
-
-    /** Work-unit clock after all events so far. */
-    u64 clock() const { return vclock; }
 
     /** Samples drawn so far. */
     u64 samples() const { return total; }
@@ -179,7 +176,6 @@ class SamplingProfiler : public StageSink
 
     u64 period_;
     u64 untilNext;
-    u64 vclock = 0;
     u64 total = 0;
     u64 byStage[NUM_HOT_STAGES] = {};
     std::unordered_map<Addr, PageHot> pages;
@@ -193,33 +189,29 @@ class SamplingProfiler : public StageSink
 class FlightSink : public StageSink
 {
   public:
+    /** CacheFlush events inside STORM_WINDOW that make a storm. */
+    static constexpr unsigned STORM_FLUSHES = 8;
+    /** Storm detection window, in work units. */
+    static constexpr u64 STORM_WINDOW = u64{1} << 20;
+
     /**
-     * @param rec the ring to feed (its lifetime must cover the sink's)
-     * @param storm_threshold flushes within the window that constitute
-     *        a storm (0 disables storm detection)
-     * @param storm_window_insns sliding window, in work units
+     * @param ring the flight recorder to feed (its lifetime must
+     *        cover the sink's)
      * @param dump_path where storm dumps go (empty: count only)
      */
-    FlightSink(FlightRecorder &rec, unsigned storm_threshold,
-               u64 storm_window_insns, std::string dump_path)
-        : rec_(rec), threshold(storm_threshold),
-          window(storm_window_insns), dumpPath(std::move(dump_path))
+    FlightSink(Tracer &ring, std::string dump_path)
+        : ring_(ring), dumpPath(std::move(dump_path))
     {
     }
 
     void
     onEvent(const StageEvent &e) override
     {
-        rec_.record(e.stage, vclock, static_cast<u32>(e.insns),
-                    e.x86Addr ? e.x86Addr : e.arg);
-        if (!e.instant)
-            vclock += e.insns;
-        if (e.stage == TracePhase::CacheFlush && threshold)
-            noteFlush();
+        ring_.span(e.stage, e.clock, e.insns,
+                   e.x86Addr ? e.x86Addr : e.arg);
+        if (e.stage == TracePhase::CacheFlush)
+            noteFlush(e.clock);
     }
-
-    /** Work-unit clock after all events so far. */
-    u64 clock() const { return vclock; }
 
     /** Storm episodes detected. */
     u64 storms() const { return stormCount; }
@@ -228,14 +220,11 @@ class FlightSink : public StageSink
     u64 stormDumps() const { return stormDumpCount; }
 
   private:
-    void noteFlush();
+    void noteFlush(u64 clock);
 
-    FlightRecorder &rec_;
-    unsigned threshold;
-    u64 window;
+    Tracer &ring_;
     std::string dumpPath;
     std::vector<u64> flushClocks; //!< recent flushes inside the window
-    u64 vclock = 0;
     u64 stormCount = 0;
     u64 stormDumpCount = 0;
 };

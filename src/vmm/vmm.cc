@@ -97,8 +97,7 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
       translatedExec(memory, st, branchProf),
       prof(cfg.profileSamplePeriod),
       flight(cfg.flightRecorderEvents),
-      flightFeed(flight, cfg.flushStormThreshold,
-                 cfg.flushStormWindowInsns, cfg.flightDumpPath)
+      flightFeed(flight, cfg.flightDumpPath)
 {
     events.attach(&traceSink);
     // Profiling sinks attach before the warm start so the warm fill
@@ -557,7 +556,7 @@ Vmm::exportCoreStats(StatRegistry &reg) const
         "JCPX exits cracked by the software complex handler");
     set("vmm.xlt.cti_fallbacks", st.xltCtiFallbacks,
         "JCTI exits cracked by the software branch handler");
-    set("vmm.trace_clock", traceSink.clock(),
+    set("vmm.trace_clock", events.clock(),
         "virtual work-unit clock at export time");
 
     // engine.xlate.*: per-backend host translation-time histograms.

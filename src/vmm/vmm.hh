@@ -36,7 +36,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/flight_recorder.hh"
 #include "common/logging.hh"
 #include "common/statreg.hh"
 #include "common/trace.hh"
@@ -157,17 +156,18 @@ class Vmm
     /**
      * The VMM's virtual trace clock, in work units: retired x86
      * instructions advance it by one each, translation work by the
-     * number of instructions translated. Phase spans recorded with
-     * the global Tracer use this timebase (track 0).
+     * number of instructions translated. It is the event stream's one
+     * clock: spans in the global Tracer (track 0), the flight
+     * recorder and the profiler's samples all use this timebase.
      */
-    u64 traceClock() const { return traceSink.clock(); }
+    u64 traceClock() const { return events.clock(); }
 
     // --- continuous profiling ---------------------------------------
     /** The guest-hotness sampling profiler (disabled when period 0). */
     const engine::SamplingProfiler &profiler() const { return prof; }
 
     /** The always-on flight recorder ring. */
-    const FlightRecorder &flightRecorder() const { return flight; }
+    const Tracer &flightRecorder() const { return flight; }
 
     /** Flush-storm detection counters. */
     const engine::FlightSink &flightSink() const { return flightFeed; }
@@ -247,7 +247,7 @@ class Vmm
     LogHistogram xlateTmplNs{2.0, 40};
     LogHistogram xlateSbtNs{2.0, 40};
     engine::SamplingProfiler prof;
-    FlightRecorder flight;
+    Tracer flight;
     engine::FlightSink flightFeed;
     /** This context's registration in the crash-hook registry. */
     CrashHookId crashHook = NO_CRASH_HOOK;

@@ -149,22 +149,6 @@ TEST(Stats, LogHistogramBuckets)
     EXPECT_DOUBLE_EQ(h.weightAtOrAbove(10), 3.0);
 }
 
-TEST(Stats, StatGroup)
-{
-    StatGroup g;
-    g.add("a", 1.0, "first");
-    g.add("a", 2.0);
-    g.set("b", 10.0, "second");
-    EXPECT_DOUBLE_EQ(g.get("a"), 3.0);
-    EXPECT_DOUBLE_EQ(g.get("b"), 10.0);
-    EXPECT_DOUBLE_EQ(g.get("missing"), 0.0);
-    EXPECT_TRUE(g.has("a"));
-    EXPECT_FALSE(g.has("missing"));
-    std::string dump = g.dump("pfx.");
-    EXPECT_NE(dump.find("pfx.a 3"), std::string::npos);
-    EXPECT_NE(dump.find("# second"), std::string::npos);
-}
-
 TEST(Stats, RunningStat)
 {
     RunningStat r;

@@ -2,15 +2,18 @@
  * @file
  * Observability-layer tests: the hierarchical StatRegistry, the phase
  * tracer (ring wraparound, disabled-mode no-op), span coalescing,
- * histogram percentiles, and the VMM/timing stat exports.
+ * histogram percentiles, the checked file writers, and the
+ * VMM/timing stat exports.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "common/statreg.hh"
 #include "common/trace.hh"
+#include "engine/profiler.hh"
 #include "timing/startup_sim.hh"
 #include "vmm/vmm.hh"
 #include "workload/winstone.hh"
@@ -199,8 +202,9 @@ TEST(Tracer, SpanCoalescerMergesBackToBack)
     EXPECT_EQ(evs[2].ts, 100u);
 }
 
-/** End-to-end: a real VMM run populates vmm.* and dbt.* stats. */
-TEST(Observability, VmmExportPopulatesRegistry)
+/** Load a 400-trip counted loop at 0x400000; returns its entry state. */
+x86::CpuState
+loadCountedLoop(x86::Memory &mem)
 {
     x86::Assembler as(0x00400000);
     auto loop = as.newLabel();
@@ -211,11 +215,43 @@ TEST(Observability, VmmExportPopulatesRegistry)
     as.dec(x86::ECX);
     as.jcc(x86::Cond::NE, loop);
     as.hlt();
-
-    x86::Memory mem;
     mem.writeBlock(0x00400000, as.finalize());
     x86::CpuState cpu;
     cpu.eip = 0x00400000;
+    return cpu;
+}
+
+/**
+ * Every file writer reports a write that fails only at the final
+ * flush: /dev/full accepts the open and the buffered fwrite, then
+ * fails fclose with ENOSPC.
+ */
+TEST(Observability, WritersReportFailedFinalFlush)
+{
+    std::FILE *probe = std::fopen("/dev/full", "w");
+    if (!probe)
+        GTEST_SKIP() << "/dev/full is not available";
+    std::fclose(probe);
+    const std::string full = "/dev/full";
+
+    StatRegistry reg;
+    reg.set("vmm.insns.total", 1.0);
+    EXPECT_FALSE(reg.writeJson(full));
+    SnapshotSeries snaps;
+    snaps.take(reg, 1);
+    EXPECT_FALSE(snaps.writeJson(full));
+    Tracer tr(4);
+    tr.span(TracePhase::Interp, 0, 1);
+    EXPECT_FALSE(tr.writeChromeJson(full));
+    EXPECT_FALSE(tr.writeText(full));
+    EXPECT_FALSE(engine::SamplingProfiler(1).writeJson(full));
+}
+
+/** End-to-end: a real VMM run populates vmm.* and dbt.* stats. */
+TEST(Observability, VmmExportPopulatesRegistry)
+{
+    x86::Memory mem;
+    x86::CpuState cpu = loadCountedLoop(mem);
 
     vmm::VmmConfig cfg;
     cfg.hotThreshold = 20;
@@ -237,6 +273,43 @@ TEST(Observability, VmmExportPopulatesRegistry)
     EXPECT_GT(tr.recorded(), 0u);
     EXPECT_GT(vm.traceClock(), 0u);
     tr.disable();
+}
+
+/**
+ * The global tracer and the Vmm's flight ring are two instances of
+ * one ring type fed from one stream clock: with a flight ring large
+ * enough to drop nothing, both hold the same timeline.
+ */
+TEST(Observability, FlightRingAndTracerShareTheStreamClock)
+{
+    x86::Memory mem;
+    x86::CpuState cpu = loadCountedLoop(mem);
+
+    Tracer &tr = Tracer::global();
+    tr.enable(4096);
+    vmm::VmmConfig cfg;
+    cfg.hotThreshold = 20;
+    cfg.flightRecorderEvents = 4096;
+    vmm::Vmm vm(mem, cfg);
+    EXPECT_EQ(vm.run(cpu, 10'000'000), x86::Exit::Halted);
+
+    const std::vector<TraceEvent> global = tr.snapshot();
+    const std::vector<TraceEvent> flight = vm.flightRecorder().snapshot();
+    tr.disable();
+    ASSERT_EQ(vm.flightRecorder().dropped(), 0u);
+    ASSERT_FALSE(flight.empty());
+    ASSERT_EQ(global.size(), flight.size());
+    for (std::size_t i = 0; i < flight.size(); ++i) {
+        EXPECT_EQ(global[i].ts, flight[i].ts) << "event " << i;
+        EXPECT_EQ(global[i].dur, flight[i].dur) << "event " << i;
+        EXPECT_EQ(global[i].phase, flight[i].phase) << "event " << i;
+    }
+    EXPECT_EQ(flight.back().ts + flight.back().dur, vm.traceClock());
+
+    StatRegistry reg;
+    vm.exportStats(reg);
+    EXPECT_DOUBLE_EQ(reg.value("vmm.trace_clock"),
+                     static_cast<double>(vm.traceClock()));
 }
 
 /** End-to-end: a startup-sim run populates timing.* stats. */

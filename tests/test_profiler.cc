@@ -1,7 +1,7 @@
 /**
  * @file
- * Continuous-profiling layer tests: the flight-recorder ring
- * (wraparound, overwrite ordering, text dump), the sampling
+ * Continuous-profiling layer tests: the flight-recorder ring (a
+ * Tracer: wraparound, overwrite ordering, text dump), the sampling
  * profiler's countdown arithmetic and attribution, agreement between
  * the sampled heatmap and exhaustive per-page accounting, sampler
  * determinism across the deterministic async pipeline, interval
@@ -17,8 +17,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flight_recorder.hh"
 #include "common/statreg.hh"
+#include "common/trace.hh"
 #include "engine/events.hh"
 #include "engine/profiler.hh"
 #include "vmm/vmm.hh"
@@ -52,53 +52,45 @@ slurp(const std::string &path)
 
 // --- flight recorder ----------------------------------------------------
 
-TEST(FlightRecorder, DisabledRecorderIsANoOp)
-{
-    FlightRecorder rec(0);
-    EXPECT_FALSE(rec.enabled());
-    EXPECT_EQ(rec.capacity(), 0u);
-    rec.record(TracePhase::Interp, 0, 1, 0x400000);
-    EXPECT_EQ(rec.recorded(), 0u);
-    EXPECT_EQ(rec.size(), 0u);
-    EXPECT_TRUE(rec.snapshot().empty());
-}
-
 TEST(FlightRecorder, CapacityRoundsUpToPowerOfTwo)
 {
-    FlightRecorder rec(5);
+    Tracer rec(5);
+    EXPECT_TRUE(rec.enabled());
     EXPECT_EQ(rec.capacity(), 8u);
+    Tracer off(0);
+    EXPECT_FALSE(off.enabled());
+    EXPECT_EQ(off.capacity(), 0u);
 }
 
 TEST(FlightRecorder, WraparoundKeepsNewestOldestFirst)
 {
-    FlightRecorder rec(8);
+    Tracer rec(8);
     for (u64 i = 0; i < 20; ++i)
-        rec.record(TracePhase::BbtExec, i * 10, 5,
-                   0x400000 + i);
+        rec.span(TracePhase::BbtExec, i * 10, 5, 0x400000 + i);
     EXPECT_EQ(rec.recorded(), 20u);
     EXPECT_EQ(rec.size(), 8u);
     EXPECT_EQ(rec.dropped(), 12u);
 
-    std::vector<FlightEvent> evs = rec.snapshot();
+    std::vector<TraceEvent> evs = rec.snapshot();
     ASSERT_EQ(evs.size(), 8u);
     // The newest eight events (i = 12..19), oldest first.
     for (u64 i = 0; i < 8; ++i) {
         EXPECT_EQ(evs[i].arg, 0x400000 + 12 + i);
-        EXPECT_EQ(evs[i].clock, (12 + i) * 10);
-        EXPECT_EQ(evs[i].insns, 5u);
+        EXPECT_EQ(evs[i].ts, (12 + i) * 10);
+        EXPECT_EQ(evs[i].dur, 5u);
         EXPECT_EQ(evs[i].phase, TracePhase::BbtExec);
     }
 }
 
 TEST(FlightRecorder, PartialFillSnapshotsInOrder)
 {
-    FlightRecorder rec(16);
-    rec.record(TracePhase::Interp, 0, 3, 0xa);
-    rec.record(TracePhase::BbtTranslate, 3, 7, 0xb);
-    rec.record(TracePhase::CacheFlush, 10, 0, 1);
+    Tracer rec(16);
+    rec.span(TracePhase::Interp, 0, 3, 0xa);
+    rec.span(TracePhase::BbtTranslate, 3, 7, 0xb);
+    rec.instant(TracePhase::CacheFlush, 10, 1);
     EXPECT_EQ(rec.size(), 3u);
     EXPECT_EQ(rec.dropped(), 0u);
-    std::vector<FlightEvent> evs = rec.snapshot();
+    std::vector<TraceEvent> evs = rec.snapshot();
     ASSERT_EQ(evs.size(), 3u);
     EXPECT_EQ(evs[0].arg, 0xau);
     EXPECT_EQ(evs[1].phase, TracePhase::BbtTranslate);
@@ -107,24 +99,24 @@ TEST(FlightRecorder, PartialFillSnapshotsInOrder)
 
 TEST(FlightRecorder, ClearForgetsButKeepsTheRing)
 {
-    FlightRecorder rec(8);
-    for (int i = 0; i < 12; ++i)
-        rec.record(TracePhase::SbtExec, i, 1, i);
+    Tracer rec(8);
+    for (u64 i = 0; i < 12; ++i)
+        rec.span(TracePhase::SbtExec, i, 1, i);
     rec.clear();
     EXPECT_EQ(rec.recorded(), 0u);
     EXPECT_EQ(rec.size(), 0u);
     EXPECT_EQ(rec.capacity(), 8u);
-    rec.record(TracePhase::Interp, 99, 1, 7);
+    rec.span(TracePhase::Interp, 99, 1, 7);
     ASSERT_EQ(rec.size(), 1u);
-    EXPECT_EQ(rec.snapshot()[0].clock, 99u);
+    EXPECT_EQ(rec.snapshot()[0].ts, 99u);
 }
 
 TEST(FlightRecorder, DumpTextCarriesTotalsAndPhases)
 {
-    FlightRecorder rec(4);
+    Tracer rec(4);
     for (u64 i = 0; i < 6; ++i)
-        rec.record(i % 2 ? TracePhase::BbtExec : TracePhase::Interp,
-                   i * 100, 10, 0x401000 + i);
+        rec.span(i % 2 ? TracePhase::BbtExec : TracePhase::Interp,
+                 i * 100, 10, 0x401000 + i);
     std::string txt = rec.dumpText();
     EXPECT_NE(txt.find("4 of 6"), std::string::npos);
     EXPECT_NE(txt.find("2 overwritten"), std::string::npos);
@@ -144,7 +136,6 @@ TEST(SamplingProfiler, DisabledProfilerNeverSamples)
     for (int i = 0; i < 100; ++i)
         prof.onEvent(spanEvent(TracePhase::Interp, 1u << 20, 0x400000));
     EXPECT_EQ(prof.samples(), 0u);
-    EXPECT_GT(prof.clock(), 0u);
 }
 
 TEST(SamplingProfiler, CountdownSamplesEveryPeriodUnits)
@@ -154,15 +145,17 @@ TEST(SamplingProfiler, CountdownSamplesEveryPeriodUnits)
     // of the chopping: one in the 7-unit event, two in the 25-unit
     // event, one in the final 5-unit event.
     engine::SamplingProfiler prof(10);
-    prof.onEvent(spanEvent(TracePhase::Interp, 3, 0x1000));
+    engine::EventStream stream;
+    stream.attach(&prof);
+    stream.emit(spanEvent(TracePhase::Interp, 3, 0x1000));
     EXPECT_EQ(prof.samples(), 0u);
-    prof.onEvent(spanEvent(TracePhase::Interp, 7, 0x2000));
+    stream.emit(spanEvent(TracePhase::Interp, 7, 0x2000));
     EXPECT_EQ(prof.samples(), 1u);
-    prof.onEvent(spanEvent(TracePhase::BbtExec, 25, 0x3000, 42));
+    stream.emit(spanEvent(TracePhase::BbtExec, 25, 0x3000, 42));
     EXPECT_EQ(prof.samples(), 3u);
-    prof.onEvent(spanEvent(TracePhase::SbtExec, 5, 0x4000, 43));
+    stream.emit(spanEvent(TracePhase::SbtExec, 5, 0x4000, 43));
     EXPECT_EQ(prof.samples(), 4u);
-    EXPECT_EQ(prof.clock(), 40u);
+    EXPECT_EQ(stream.clock(), 40u);
 
     EXPECT_EQ(prof.pageSamples(0x2000 >> x86::Memory::PAGE_SHIFT), 1u);
     EXPECT_EQ(prof.pageSamples(0x3000 >> x86::Memory::PAGE_SHIFT), 2u);
@@ -177,13 +170,15 @@ TEST(SamplingProfiler, CountdownSamplesEveryPeriodUnits)
 TEST(SamplingProfiler, InstantsAndEmptySpansDoNotAdvanceTheClock)
 {
     engine::SamplingProfiler prof(4);
+    engine::EventStream stream;
+    stream.attach(&prof);
     engine::StageEvent flush;
     flush.stage = TracePhase::CacheFlush;
     flush.instant = true;
     flush.insns = 100; // instants never carry work
-    prof.onEvent(flush);
-    prof.onEvent(spanEvent(TracePhase::Interp, 0, 0x5000));
-    EXPECT_EQ(prof.clock(), 0u);
+    stream.emit(flush);
+    stream.emit(spanEvent(TracePhase::Interp, 0, 0x5000));
+    EXPECT_EQ(stream.clock(), 0u);
     EXPECT_EQ(prof.samples(), 0u);
 }
 
@@ -295,7 +290,7 @@ TEST(SamplingProfiler, HeatmapAgreesWithExhaustiveAccounting)
     ASSERT_GT(prof.samples(), 100u);
     ASSERT_GE(exact.work.size(), 2u)
         << "program too small to span pages";
-    EXPECT_EQ(prof.clock(), exact.total);
+    EXPECT_EQ(vm.traceClock(), exact.total);
 
     // The sampled heatmap must pick the same hottest page as the
     // exhaustive per-instruction accounting...
@@ -497,18 +492,17 @@ TEST(FlightSink, FlushStormTriggersAutomaticDump)
     prog.loadInto(mem);
 
     // A BBT arena far smaller than the translated working set forces
-    // flush-refill thrash; two flushes inside the window is a storm.
+    // flush-refill thrash: STORM_FLUSHES flushes inside the window.
     vmm::VmmConfig cfg = engine::EngineConfig::vmSoft();
-    cfg.bbtCacheBytes = u64{8} << 10;
+    cfg.bbtCacheBytes = u64{2} << 10;
     cfg.enableSbt = false;
-    cfg.flushStormThreshold = 2;
-    cfg.flushStormWindowInsns = u64{1} << 30;
     cfg.flightDumpPath = path;
     vmm::Vmm vm(mem, cfg);
     x86::CpuState cpu = prog.initialState();
     ASSERT_EQ(vm.run(cpu, u64{1} << 40), x86::Exit::Halted);
 
-    ASSERT_GT(vm.stats().bbtCacheFlushes, 1u);
+    ASSERT_GE(vm.stats().bbtCacheFlushes,
+              engine::FlightSink::STORM_FLUSHES);
     EXPECT_GT(vm.flightSink().storms(), 0u);
     EXPECT_GT(vm.flightSink().stormDumps(), 0u);
     std::string dump = slurp(path);
@@ -519,16 +513,16 @@ TEST(FlightSink, FlushStormTriggersAutomaticDump)
 
 TEST(FlightSink, StormCountingWorksWithoutADumpPath)
 {
-    FlightRecorder rec(64);
-    engine::FlightSink sink(rec, 2, 1u << 20, "");
+    Tracer rec(64);
+    engine::FlightSink sink(rec, "");
     engine::StageEvent flush;
     flush.stage = TracePhase::CacheFlush;
     flush.instant = true;
-    for (int i = 0; i < 4; ++i)
+    for (unsigned i = 0; i < 2 * engine::FlightSink::STORM_FLUSHES; ++i)
         sink.onEvent(flush);
     EXPECT_EQ(sink.storms(), 2u);
     EXPECT_EQ(sink.stormDumps(), 0u);
-    EXPECT_EQ(rec.recorded(), 4u);
+    EXPECT_EQ(rec.recorded(), 2u * engine::FlightSink::STORM_FLUSHES);
 }
 
 TEST(FlightDump, AbnormalExitWritesThePostMortem)
