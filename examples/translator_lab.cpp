@@ -75,7 +75,7 @@ lab(const std::vector<u8> &bytes)
     x86::DecodeResult dr = x86::decode(
         std::span<const u8>(win.data(), win.size()), 0x1000);
     if (!dr.ok) {
-        std::printf("  decode: FAILED (%s)\n\n", dr.error.c_str());
+        std::printf("  decode: FAILED (%s)\n\n", dr.error);
         return;
     }
     std::printf("  decode: %-28s length=%u%s%s\n",

@@ -1,9 +1,13 @@
 /**
  * @file
- * Code caches: concealed main-memory regions holding translations.
+ * Code caches: the address ranges the VM reserves for translations.
  *
  * The VM reserves two arenas (one for BBT blocks, one for SBT
- * superblocks, Fig. 1). Allocation is bump-pointer; when an arena
+ * superblocks, Fig. 1). An arena hands out addresses and tracks
+ * occupancy; it holds no bytes (bodies live in dbt::Translation), so
+ * the guest's memory at those addresses stays its own. The addresses
+ * feed the timing model's code-fetch accounting, and occupancy drives
+ * eviction. Allocation is bump-pointer; when an arena
  * fills, the classic flush-everything policy applies and the VMM
  * re-translates on demand -- the retranslation behaviour the paper's
  * multitasking discussion worries about, exercised directly by the

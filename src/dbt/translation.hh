@@ -88,8 +88,8 @@ struct Translation
 {
     TransKind kind = TransKind::BasicBlock;
     Addr entryPc = 0;       //!< architected (x86) entry address
-    Addr codeAddr = 0;      //!< address of encoded body in the code cache
-    u32 codeBytes = 0;      //!< encoded size in the code cache
+    Addr codeAddr = 0;      //!< code-cache address reserved for the body
+    u32 codeBytes = 0;      //!< encoded size (the reservation's length)
     u32 numX86Insns = 0;    //!< architected instructions covered
     u32 x86Bytes = 0;       //!< architected bytes covered
     Addr fallthroughPc = 0; //!< x86 PC following the translated region

@@ -96,9 +96,9 @@ class XltBbtBackend : public TranslationBackend
   public:
     /**
      * The HAloop's STF target: a concealed scratch window the
-     * hardware emits encoded micro-ops into before the VMM installs
-     * them in the real arena (well above guest code, stack and both
-     * code caches).
+     * hardware emits encoded micro-ops into before the VMM lifts
+     * them back into the translation (well above guest code, stack
+     * and both code-cache arenas).
      */
     static constexpr Addr SCRATCH_BASE = 0xf8000000;
 

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "common/statreg.hh"
-#include "uops/encoding.hh"
 
 namespace cdvm::engine
 {
@@ -13,18 +12,16 @@ using dbt::Translation;
 namespace
 {
 
-// Where the two arenas live in concealed guest memory (paper Fig. 1).
+// The guest addresses the two arenas reserve (paper Fig. 1).
 constexpr Addr BBT_CACHE_BASE = 0xe0000000;
 constexpr Addr SBT_CACHE_BASE = 0xe8000000;
 
 } // namespace
 
-CodeCacheManager::CodeCacheManager(x86::Memory &memory,
-                                   const EngineConfig &cfg,
+CodeCacheManager::CodeCacheManager(const EngineConfig &cfg,
                                    EngineStats &stats,
                                    EventStream &event_stream)
-    : mem(memory),
-      st(stats),
+    : st(stats),
       events(event_stream),
       map(dbt::TranslationMap::Config{cfg.lookupReserve,
                                       cfg.lookasideEntries}),
@@ -62,14 +59,6 @@ CodeCacheManager::install(std::unique_ptr<Translation> t)
                        t->codeBytes, cc.name().c_str());
     }
     t->codeAddr = at;
-    // The encoded body really lives in concealed guest memory -- but a
-    // zero-copy warm install executes straight from the mapped image,
-    // so only the arena reservation (flush dynamics, timing realism)
-    // is kept and the encode+copy is skipped entirely.
-    if (!t->mappedBody()) {
-        std::vector<u8> bytes = uops::encode(t->uops);
-        mem.writeBlock(at, bytes);
-    }
     res.trans = map.insert(std::move(t));
     return res;
 }

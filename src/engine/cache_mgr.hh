@@ -5,12 +5,13 @@
  *
  * Owns the translation lookup table and both bump-allocated arenas
  * (BBT blocks and SBT superblocks, paper Fig. 1). Installing a
- * translation allocates arena space, writes the encoded micro-op body
- * into concealed guest memory, and publishes the translation in the
- * map; when an arena fills, the classic flush-everything policy
- * applies: the arena is reset, every translation of that kind is
- * dropped from the map, and all chains into the doomed set are
- * conservatively cleared.
+ * translation reserves arena space for its encoded size and publishes
+ * it in the map. The arenas are reservations only: the body executes
+ * from the Translation itself and is never written into guest memory,
+ * but codeAddr/codeBytes feed the timing model and a full arena still
+ * forces the classic flush-everything policy: the arena is reset,
+ * every translation of that kind is dropped from the map, and all
+ * chains into the doomed set are conservatively cleared.
  */
 
 #ifndef CDVM_ENGINE_CACHE_MGR_HH
@@ -22,7 +23,6 @@
 #include "dbt/lookup.hh"
 #include "engine/engine_config.hh"
 #include "engine/events.hh"
-#include "x86/memory.hh"
 
 namespace cdvm::engine
 {
@@ -31,8 +31,8 @@ namespace cdvm::engine
 class CodeCacheManager
 {
   public:
-    CodeCacheManager(x86::Memory &memory, const EngineConfig &cfg,
-                     EngineStats &stats, EventStream &events);
+    CodeCacheManager(const EngineConfig &cfg, EngineStats &stats,
+                     EventStream &events);
 
     /** Outcome of installing a translation. */
     struct InstallResult
@@ -44,9 +44,9 @@ class CodeCacheManager
     };
 
     /**
-     * Register a new translation: allocate arena space (flushing on
-     * full), encode the body into guest memory, publish in the map.
-     * Emits a CacheFlush stage event when eviction happened.
+     * Register a new translation: reserve arena space (flushing on
+     * full) and publish it in the map. Emits a CacheFlush stage event
+     * when eviction happened.
      */
     InstallResult install(std::unique_ptr<dbt::Translation> t);
 
@@ -76,7 +76,6 @@ class CodeCacheManager
     void exportStats(StatRegistry &reg) const;
 
   private:
-    x86::Memory &mem;
     EngineStats &st;
     EventStream &events;
 

@@ -4,10 +4,10 @@
  *
  * Runs a translation's micro-ops through the micro-op executor and
  * maps the outcome back to architected x86 state: retired-instruction
- * accounting (including superblock side exits), fault recovery by
- * checkpointed interpreter re-execution (paper Fig. 1's "may use
- * interpreter" arc), and branch-direction profiling on the region's
- * terminating branch.
+ * accounting (including superblock side exits), fault recovery that
+ * hands the faulting instruction to the interpreter (paper Fig. 1's
+ * "may use interpreter" arc), and branch-direction profiling on the
+ * region's terminating branch.
  */
 
 #ifndef CDVM_ENGINE_TRANSLATED_EXEC_HH

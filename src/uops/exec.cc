@@ -14,6 +14,28 @@ using x86::FLAG_ALL;
 using x86::FLAG_CF;
 namespace flags = x86::flags;
 
+namespace
+{
+
+/** Compute the flags the pending record owes, if any. */
+inline void
+settleFlags(UState &st)
+{
+    PendingFlags &p = st.pending;
+    if (p.kind == PendingFlags::Kind::None)
+        return;
+    u32 r;
+    const u32 f = p.kind == PendingFlags::Kind::Add
+                      ? flags::add(p.a, p.b, p.carry, p.size, r)
+                  : p.kind == PendingFlags::Kind::Sub
+                      ? flags::sub(p.a, p.b, p.carry, p.size, r)
+                      : flags::logic(p.a, p.size);
+    st.eflags = (st.eflags & ~FLAG_ALL) | (f & FLAG_ALL);
+    p.kind = PendingFlags::Kind::None;
+}
+
+} // namespace
+
 void
 UState::loadArch(const x86::CpuState &cpu)
 {
@@ -54,8 +76,19 @@ UopExecutor::step(const Uop &u)
 {
     Outcome out;
 
+    // Eager writers replace every arithmetic flag, so whatever the
+    // pending record owed is dead.
     auto setArith = [&](u32 f) {
         st.eflags = (st.eflags & ~FLAG_ALL) | (f & FLAG_ALL);
+        st.pending.kind = PendingFlags::Kind::None;
+    };
+    // Lazy writers only record their operands (see settleFlags).
+    auto defer = [&](PendingFlags::Kind k, u32 a, u32 b, u32 carry) {
+        st.pending = PendingFlags{k, u.size, a, b, carry};
+    };
+    auto carryIn = [&]() -> u32 {
+        settleFlags(st);
+        return (st.eflags & FLAG_CF) ? 1 : 0;
     };
     // Second ALU source: register or folded immediate.
     auto srcB = [&](unsigned size) -> u32 {
@@ -76,34 +109,28 @@ UopExecutor::step(const Uop &u)
 
       case UOp::Add:
       case UOp::Adc: {
-        u32 a = readSized(u.src1, size);
-        u32 b = srcB(size);
-        u32 cin = (u.op == UOp::Adc && (st.eflags & FLAG_CF)) ? 1 : 0;
-        u32 r;
-        u32 f = flags::add(a, b, cin, size, r);
+        const u32 a = readSized(u.src1, size);
+        const u32 b = srcB(size);
+        const u32 cin = u.op == UOp::Adc ? carryIn() : 0;
         if (u.writeFlags)
-            setArith(f);
-        writeDst(r);
+            defer(PendingFlags::Kind::Add, a, b, cin);
+        writeDst(flags::trunc(a + b + cin, size));
         break;
       }
       case UOp::Sub:
       case UOp::Sbb: {
-        u32 a = readSized(u.src1, size);
-        u32 b = srcB(size);
-        u32 bin = (u.op == UOp::Sbb && (st.eflags & FLAG_CF)) ? 1 : 0;
-        u32 r;
-        u32 f = flags::sub(a, b, bin, size, r);
+        const u32 a = readSized(u.src1, size);
+        const u32 b = srcB(size);
+        const u32 bin = u.op == UOp::Sbb ? carryIn() : 0;
         if (u.writeFlags)
-            setArith(f);
-        writeDst(r);
+            defer(PendingFlags::Kind::Sub, a, b, bin);
+        writeDst(flags::trunc(a - b - bin, size));
         break;
       }
-      case UOp::Cmp: {
-        u32 r;
-        setArith(flags::sub(readSized(u.src1, size), srcB(size), 0,
-                            size, r));
+      case UOp::Cmp:
+        defer(PendingFlags::Kind::Sub, readSized(u.src1, size),
+              srcB(size), 0);
         break;
-      }
       case UOp::And:
       case UOp::Or:
       case UOp::Xor: {
@@ -113,15 +140,15 @@ UopExecutor::step(const Uop &u)
                                  : u.op == UOp::Or ? (a | b) : (a ^ b);
         r = flags::trunc(r, size);
         if (u.writeFlags)
-            setArith(flags::logic(r, size));
+            defer(PendingFlags::Kind::Logic, r, 0, 0);
         writeDst(r);
         break;
       }
-      case UOp::Tst: {
-        u32 r = flags::trunc(readSized(u.src1, size) & srcB(size), size);
-        setArith(flags::logic(r, size));
+      case UOp::Tst:
+        defer(PendingFlags::Kind::Logic,
+              flags::trunc(readSized(u.src1, size) & srcB(size), size),
+              0, 0);
         break;
-      }
       case UOp::Inc:
       case UOp::Dec: {
         u32 a = readSized(u.src1, size);
@@ -129,6 +156,7 @@ UopExecutor::step(const Uop &u)
         u32 f = u.op == UOp::Inc ? flags::add(a, 1, 0, size, r)
                                  : flags::sub(a, 1, 0, size, r);
         if (u.writeFlags) {
+            settleFlags(st); // CF survives
             f = (f & ~FLAG_CF) | (st.eflags & FLAG_CF);
             setArith(f);
         }
@@ -139,11 +167,10 @@ UopExecutor::step(const Uop &u)
         writeDst(flags::trunc(~readSized(u.src1, size), size));
         break;
       case UOp::Neg: {
-        u32 r;
-        u32 f = flags::sub(0, readSized(u.src1, size), 0, size, r);
+        const u32 a = readSized(u.src1, size);
         if (u.writeFlags)
-            setArith(f);
-        writeDst(r);
+            defer(PendingFlags::Kind::Sub, 0, a, 0);
+        writeDst(flags::trunc(0 - a, size));
         break;
       }
 
@@ -160,6 +187,8 @@ UopExecutor::step(const Uop &u)
         u32 a = readSized(u.src1, size);
         u32 count = u.hasImm ? static_cast<u32>(u.imm)
                              : (st.regs[u.src2] & 0xff);
+        if (u.writeFlags)
+            settleFlags(st); // count 0 and rotates keep old flags
         flags::ShiftResult sr =
             flags::shift(xop, a, count, size, st.eflags & FLAG_ALL);
         if (u.writeFlags)
@@ -264,6 +293,7 @@ UopExecutor::step(const Uop &u)
                          (st.regs[u.src1] & 0xffff);
         break;
       case UOp::Setcc:
+        settleFlags(st);
         writeDst(x86::condTrue(static_cast<x86::Cond>(u.cond),
                                st.eflags)
                      ? 1
@@ -313,6 +343,7 @@ UopExecutor::step(const Uop &u)
       case UOp::Br: {
         bool taken;
         if (u.cond < 16) {
+            settleFlags(st);
             taken = x86::condTrue(static_cast<x86::Cond>(u.cond),
                                   st.eflags);
         } else if (u.cond == static_cast<u8>(UCond::CsrCmplx)) {
@@ -338,12 +369,15 @@ UopExecutor::step(const Uop &u)
         break;
 
       case UOp::Clc:
+        settleFlags(st);
         st.eflags &= ~FLAG_CF;
         break;
       case UOp::Stc:
+        settleFlags(st);
         st.eflags |= FLAG_CF;
         break;
       case UOp::Cmc:
+        settleFlags(st);
         st.eflags ^= FLAG_CF;
         break;
 
@@ -385,7 +419,9 @@ UopExecutor::step(const Uop &u)
 UopExecutor::Outcome
 UopExecutor::exec(const Uop &u)
 {
-    return step(u);
+    const Outcome o = step(u);
+    settleFlags(st);
+    return o;
 }
 
 BlockResult
@@ -393,27 +429,28 @@ UopExecutor::run(std::span<const Uop> uops, Addr fallthrough)
 {
     BlockResult res;
     for (std::size_t i = 0; i < uops.size(); ++i) {
-        Outcome o = step(uops[i]);
+        const Outcome o = step(uops[i]);
         ++res.uopsRun;
         if (o.fault) {
             res.exit = BlockExit::Fault;
             res.faultIndex = static_cast<int>(i);
             res.faultX86Pc = uops[i].x86pc;
-            return res;
+            break;
         }
         if (o.vmExit) {
             res.exit = BlockExit::VmExit;
             res.nextPc = uops[i].x86pc;
-            return res;
+            break;
         }
         if (o.taken) {
             res.exit = BlockExit::Branch;
             res.nextPc = o.target;
-            return res;
+            break;
         }
     }
-    res.exit = BlockExit::FallThrough;
-    res.nextPc = fallthrough;
+    if (res.exit == BlockExit::FallThrough)
+        res.nextPc = fallthrough;
+    settleFlags(st);
     return res;
 }
 

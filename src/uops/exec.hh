@@ -41,11 +41,37 @@ class XltHandler
     virtual u32 translate(const u8 src[16], u8 dst[16]) = 0;
 };
 
+/**
+ * Lazy condition codes: the operands of the last flag-writing ALU
+ * micro-op whose EFLAGS have not been computed yet. The executor
+ * computes them through x86/flags.hh only where something reads the
+ * flags, so they match the interpreter bit for bit by construction.
+ */
+struct PendingFlags
+{
+    enum class Kind : u8
+    {
+        None,  //!< eflags is up to date
+        Add,   //!< flags::add(a, b, carry)
+        Sub,   //!< flags::sub(a, b, carry)
+        Logic, //!< flags::logic(a): a is the result
+    };
+
+    Kind kind = Kind::None;
+    u8 size = 4;
+    u32 a = 0;
+    u32 b = 0;
+    u32 carry = 0; //!< carry or borrow in (Adc/Sbb)
+};
+
 /** Implementation-ISA machine state. */
 struct UState
 {
     std::array<u32, NUM_UREGS> regs{};
     u32 eflags = 0x202;
+    /** Flags still owed to eflags; empty whenever UopExecutor::run or
+     *  UopExecutor::exec has returned. */
+    PendingFlags pending;
     std::array<std::array<u8, 16>, 32> fregs{}; //!< 128-bit F registers
     u32 csr = 0;
 
@@ -87,7 +113,8 @@ class UopExecutor
     void setXltHandler(XltHandler *h) { xlt = h; }
 
     /**
-     * Execute a translated block.
+     * Execute a translated block. EFLAGS are architected again when
+     * it returns, whatever the exit.
      *
      * @param uops          The translation body.
      * @param fallthrough   x86 PC that follows the translated region.
@@ -103,7 +130,7 @@ class UopExecutor
         bool vmExit = false;
     };
 
-    /** Execute one micro-op. */
+    /** Execute one micro-op; EFLAGS are architected on return. */
     Outcome exec(const Uop &u);
 
   private:

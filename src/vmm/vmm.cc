@@ -83,7 +83,7 @@ Vmm::Vmm(x86::Memory &memory, const VmmConfig &config,
       traceSink(Tracer::global(), 0),
       branchProf(cfg.branchProfCap, cfg.branchProfReserve),
       sbtFailed(cfg.sbtFailedCap),
-      ccm(memory, cfg, st, events),
+      ccm(cfg, st, events),
       cold(makeColdExecutor(memory, cfg, st, branchProf)),
       detector(makeDetector(cfg)),
       sbtBackend(memory, cfg,

@@ -14,7 +14,6 @@
 #define CDVM_X86_DECODER_HH
 
 #include <span>
-#include <string>
 
 #include "common/types.hh"
 #include "x86/insn.hh"
@@ -28,9 +27,9 @@ constexpr unsigned MAX_INSN_LEN = 15;
 /** Outcome of a decode attempt. */
 struct DecodeResult
 {
-    Insn insn;           //!< valid iff ok
+    Insn insn;              //!< valid iff ok
     bool ok = false;
-    std::string error;   //!< diagnostic when !ok
+    const char *error = ""; //!< static diagnostic when !ok
 
     explicit operator bool() const { return ok; }
 };

@@ -67,76 +67,28 @@ Memory::findPageSlow(Addr pn) const
     return p;
 }
 
-u8
-Memory::read8(Addr a) const
-{
-    const Page *p = findPage(a);
-    return p ? p->bytes[a & (PAGE_SIZE - 1)] : 0;
-}
-
 u16
-Memory::read16(Addr a) const
+Memory::read16Slow(Addr a) const
 {
-    // Fast path: fully inside one page.
-    const Page *p = findPage(a);
-    Addr off = a & (PAGE_SIZE - 1);
-    if (p && off + 2 <= PAGE_SIZE) {
-        u16 v;
-        std::memcpy(&v, p->bytes.data() + off, 2);
-        return v;
-    }
     return static_cast<u16>(read8(a) | (read8(a + 1) << 8));
 }
 
 u32
-Memory::read32(Addr a) const
+Memory::read32Slow(Addr a) const
 {
-    // Fast path: fully inside one page.
-    const Page *p = findPage(a);
-    Addr off = a & (PAGE_SIZE - 1);
-    if (p && off + 4 <= PAGE_SIZE) {
-        u32 v;
-        std::memcpy(&v, p->bytes.data() + off, 4);
-        return v;
-    }
     return static_cast<u32>(read16(a)) | (static_cast<u32>(read16(a + 2)) << 16);
 }
 
 void
-Memory::write8(Addr a, u8 v)
+Memory::write16Slow(Addr a, u16 v)
 {
-    Page *p = getPage(a);
-    noteWrite(*p);
-    p->bytes[a & (PAGE_SIZE - 1)] = v;
-    ++written;
-}
-
-void
-Memory::write16(Addr a, u16 v)
-{
-    Page *p = getPage(a);
-    Addr off = a & (PAGE_SIZE - 1);
-    if (off + 2 <= PAGE_SIZE) {
-        noteWrite(*p);
-        std::memcpy(p->bytes.data() + off, &v, 2);
-        written += 2;
-        return;
-    }
     write8(a, static_cast<u8>(v));
     write8(a + 1, static_cast<u8>(v >> 8));
 }
 
 void
-Memory::write32(Addr a, u32 v)
+Memory::write32Slow(Addr a, u32 v)
 {
-    Page *p = getPage(a);
-    Addr off = a & (PAGE_SIZE - 1);
-    if (off + 4 <= PAGE_SIZE) {
-        noteWrite(*p);
-        std::memcpy(p->bytes.data() + off, &v, 4);
-        written += 4;
-        return;
-    }
     write16(a, static_cast<u16>(v));
     write16(a + 2, static_cast<u16>(v >> 16));
 }

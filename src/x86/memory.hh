@@ -3,9 +3,11 @@
  * Sparse guest physical memory for functional execution.
  *
  * Pages are allocated on first touch; unwritten bytes read as zero.
- * Both the architected program image and the VMM's concealed code-cache
- * region live in the same Memory object, matching the paper's framing
- * of the code cache as a hidden area of main memory.
+ * Translation bodies live in host memory (dbt::Translation), not
+ * here: the VMM's code-cache arenas are address ranges it reserves
+ * for the timing model, so a guest store into one reads back
+ * unchanged. Only the XLTx86 HAloop model stores here, into its own
+ * scratch window (engine::XltBbtBackend).
  *
  * A small direct-mapped page cache sits in front of the page map, so a
  * guest load or store usually costs one array probe instead of a hash
@@ -17,6 +19,7 @@
 #define CDVM_X86_MEMORY_HH
 
 #include <array>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -42,13 +45,74 @@ class Memory
     Memory(Memory &&o) noexcept;
     Memory &operator=(Memory &&o) noexcept;
 
-    u8 read8(Addr a) const;
-    u16 read16(Addr a) const;
-    u32 read32(Addr a) const;
+    // Guest loads and stores. The access that stays inside one page
+    // is inline; one that crosses a page or reads a hole is not.
 
-    void write8(Addr a, u8 v);
-    void write16(Addr a, u16 v);
-    void write32(Addr a, u32 v);
+    u8
+    read8(Addr a) const
+    {
+        const Page *p = findPage(a);
+        return p ? p->bytes[a & (PAGE_SIZE - 1)] : 0;
+    }
+
+    u16
+    read16(Addr a) const
+    {
+        const Page *p = findPage(a);
+        const Addr off = a & (PAGE_SIZE - 1);
+        if (p && off + 2 <= PAGE_SIZE) {
+            u16 v;
+            std::memcpy(&v, p->bytes.data() + off, 2);
+            return v;
+        }
+        return read16Slow(a);
+    }
+
+    u32
+    read32(Addr a) const
+    {
+        const Page *p = findPage(a);
+        const Addr off = a & (PAGE_SIZE - 1);
+        if (p && off + 4 <= PAGE_SIZE) {
+            u32 v;
+            std::memcpy(&v, p->bytes.data() + off, 4);
+            return v;
+        }
+        return read32Slow(a);
+    }
+
+    void
+    write8(Addr a, u8 v)
+    {
+        Page *p = getPage(a);
+        noteWrite(*p);
+        p->bytes[a & (PAGE_SIZE - 1)] = v;
+        ++written;
+    }
+
+    void
+    write16(Addr a, u16 v)
+    {
+        const Addr off = a & (PAGE_SIZE - 1);
+        if (off + 2 > PAGE_SIZE)
+            return write16Slow(a, v);
+        Page *p = getPage(a);
+        noteWrite(*p);
+        std::memcpy(p->bytes.data() + off, &v, 2);
+        written += 2;
+    }
+
+    void
+    write32(Addr a, u32 v)
+    {
+        const Addr off = a & (PAGE_SIZE - 1);
+        if (off + 4 > PAGE_SIZE)
+            return write32Slow(a, v);
+        Page *p = getPage(a);
+        noteWrite(*p);
+        std::memcpy(p->bytes.data() + off, &v, 4);
+        written += 4;
+    }
 
     /** Bulk copy into memory (e.g., loading a program image). */
     void writeBlock(Addr a, std::span<const u8> data);
@@ -128,6 +192,10 @@ class Memory
     }
     Page *getPageSlow(Addr pn);
     const Page *findPageSlow(Addr pn) const;
+    u16 read16Slow(Addr a) const;
+    u32 read32Slow(Addr a) const;
+    void write16Slow(Addr a, u16 v);
+    void write32Slow(Addr a, u32 v);
     void clearCache() { cache.fill(CacheLine{}); }
     /** Bump codeVersion when writing into a code page. */
     void

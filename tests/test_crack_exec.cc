@@ -402,5 +402,227 @@ TEST(CrackExec, ComplexClassification)
     EXPECT_FALSE(crackOf({0x8b, 0x03}).complex); // mov eax,[ebx]
 }
 
+/** Build an instruction from its fields (no encoding needed). */
+Insn
+makeInsn(Op op, unsigned size, x86::Operand dst,
+         x86::Operand src = x86::Operand::none())
+{
+    Insn in;
+    in.op = op;
+    in.opSize = static_cast<u8>(size);
+    in.dst = dst;
+    in.src = src;
+    return in;
+}
+
+TEST(CrackExec, FaultingInsnsWriteOnlyTemporariesBeforeTheFault)
+{
+    // Precise-state recovery resumes the interpreter at a faulting
+    // div/idiv/int3 from the executor's state, which holds only if
+    // the micro-ops before the faulting one touch no architected
+    // register, flag or memory. Recovery also finds the instruction
+    // by counting its faulting micro-ops, so there must be exactly
+    // one. (The template tier's rules equal the cracker's output by
+    // the TemplateRules lint.)
+    std::vector<Insn> forms{makeInsn(Op::Int3, 4, {})};
+    for (Op op : {Op::DivA, Op::IdivA}) {
+        for (unsigned size : {1u, 2u, 4u}) {
+            for (unsigned r = 0; r < x86::NUM_REGS; ++r) {
+                forms.push_back(makeInsn(
+                    op, size, {},
+                    x86::Operand::makeReg(static_cast<Reg>(r))));
+            }
+            forms.push_back(makeInsn(op, size, {},
+                                     x86::Operand::makeMem(MemRef{
+                                         x86::EBX, x86::ESI, 4, 0x40})));
+        }
+    }
+
+    for (const Insn &in : forms) {
+        const uops::UopVec v = uops::crack(in).uops;
+        unsigned faulting = 0;
+        for (const uops::Uop &u : v) {
+            faulting += u.op == uops::UOp::DivWide ||
+                        u.op == uops::UOp::IdivWide ||
+                        u.op == uops::UOp::Trap;
+        }
+        ASSERT_EQ(faulting, 1u) << in.toString();
+        const uops::UOp last = v.back().op;
+        EXPECT_TRUE(last == uops::UOp::DivWide ||
+                    last == uops::UOp::IdivWide ||
+                    last == uops::UOp::Trap)
+            << in.toString();
+        for (std::size_t i = 0; i + 1 < v.size(); ++i) {
+            const uops::Uop &u = v[i];
+            const u8 d = u.destination();
+            EXPECT_TRUE(d == uops::UREG_NONE || d >= x86::NUM_REGS)
+                << in.toString() << ": " << u.toString();
+            EXPECT_FALSE(u.isStore()) << in.toString();
+            EXPECT_FALSE(u.writeFlags) << in.toString();
+        }
+    }
+}
+
+TEST(CrackExec, LazyFlagsMatchInterpreterAtEveryConsumer)
+{
+    // The executor records a flag-writing ALU micro-op's operands and
+    // computes EFLAGS only where something reads them. Run a stale
+    // producer, then every producer, then every consumer, as ONE
+    // block, so each consumer meets a pending record; the outcome
+    // must equal the interpreter's, through run() and through exec()
+    // one micro-op at a time.
+    using x86::Operand;
+    const Operand eax = Operand::makeReg(x86::EAX);
+    const Operand ebx = Operand::makeReg(x86::EBX);
+    const Operand ecx = Operand::makeReg(x86::ECX);
+    const Operand edx = Operand::makeReg(x86::EDX);
+    const Operand esi = Operand::makeReg(x86::ESI);
+
+    std::vector<std::function<Insn(unsigned)>> producers;
+    for (Op op : {Op::Add, Op::Adc, Op::Sub, Op::Sbb, Op::Cmp, Op::And,
+                  Op::Or, Op::Xor, Op::Test}) {
+        producers.push_back(
+            [=](unsigned sz) { return makeInsn(op, sz, eax, ebx); });
+    }
+    for (Op op : {Op::Neg, Op::Inc, Op::Dec}) {
+        producers.push_back(
+            [=](unsigned sz) { return makeInsn(op, sz, eax); });
+    }
+    producers.push_back([=](unsigned sz) {
+        return makeInsn(Op::Shl, sz, eax, Operand::makeImm(1));
+    });
+    // Eager writers: the stale record must not survive them.
+    producers.push_back([=](unsigned sz) {
+        return makeInsn(Op::Imul, sz == 1 ? 2 : sz, eax, ebx);
+    });
+    producers.push_back(
+        [=](unsigned sz) { return makeInsn(Op::MulA, sz, Operand{}, ebx); });
+
+    std::vector<std::function<Insn(unsigned)>> consumers;
+    consumers.push_back(nullptr); // the block ends with a pending record
+    for (unsigned c = 0; c < 16; ++c) {
+        consumers.push_back([=](unsigned) {
+            Insn in = makeInsn(Op::Jcc, 4, Operand{});
+            in.cond = static_cast<Cond>(c);
+            in.target = 0x9000;
+            return in;
+        });
+        consumers.push_back([=](unsigned) {
+            Insn in = makeInsn(Op::Setcc, 1, ecx);
+            in.cond = static_cast<Cond>(c);
+            return in;
+        });
+    }
+    for (Op op : {Op::Adc, Op::Sbb}) {
+        consumers.push_back(
+            [=](unsigned sz) { return makeInsn(op, sz, edx, esi); });
+    }
+    for (Op op : {Op::Inc, Op::Dec}) {
+        consumers.push_back(
+            [=](unsigned sz) { return makeInsn(op, sz, edx); });
+    }
+    for (Op op : {Op::Clc, Op::Stc, Op::Cmc}) {
+        consumers.push_back([=](unsigned) { return makeInsn(op, 4, {}); });
+    }
+    for (Op op : {Op::Shl, Op::Shr, Op::Sar, Op::Rol, Op::Ror}) {
+        for (i64 count : {0, 1}) {
+            consumers.push_back([=](unsigned sz) {
+                return makeInsn(op, sz, edx, Operand::makeImm(count));
+            });
+        }
+    }
+
+    static const u32 vals[] = {0,          1,          0x7f,
+                               0x80,       0xff,       0x7fff,
+                               0x8000,     0xffff,     0x7fffffff,
+                               0x80000000, 0xffffffff, 0x12345678};
+    Memory mem;
+    unsigned runs = 0, mismatches = 0;
+    for (unsigned size : {1u, 2u, 4u}) {
+        for (std::size_t p = 0; p < producers.size(); ++p) {
+            for (std::size_t c = 0; c < consumers.size(); ++c) {
+                std::vector<Insn> block;
+                block.push_back(makeInsn(Op::Cmp, 4, ecx, edx)); // stale
+                block.push_back(producers[p](size));
+                if (consumers[c])
+                    block.push_back(consumers[c](size));
+                for (std::size_t i = 0; i < block.size(); ++i) {
+                    block[i].pc = 0x1000 + 4 * i;
+                    block[i].length = 4;
+                }
+                const uops::UopVec body = uops::crackAll(block).uops;
+
+                for (std::size_t k = 0; k < std::size(vals) *
+                                                std::size(vals);
+                     ++k) {
+                    CpuState start;
+                    start.regs[x86::EAX] = vals[k / std::size(vals)];
+                    start.regs[x86::EBX] = vals[k % std::size(vals)];
+                    start.regs[x86::ECX] = 0x80000000u + k;
+                    start.regs[x86::EDX] = start.regs[x86::EAX] ^ 0x5a5a;
+                    start.regs[x86::ESI] = start.regs[x86::EBX] + 3;
+                    // Both carry-in values reach Adc/Sbb producers.
+                    start.eflags = (k & 1) ? 0x202 | x86::FLAG_ALL : 0x202;
+                    start.eip = 0x1000;
+
+                    CpuState ref = start;
+                    x86::Interpreter interp(ref, mem);
+                    for (const Insn &in : block) {
+                        if (interp.execute(in).taken)
+                            break;
+                    }
+
+                    UState ust;
+                    ust.loadArch(start);
+                    UopExecutor exe(ust, mem);
+                    const uops::BlockResult br =
+                        exe.run(body, block.back().nextPc());
+                    CpuState got = start;
+                    ust.storeArch(got);
+                    got.eip = static_cast<u32>(br.nextPc);
+
+                    // exec(), the HAloop's entry point, must leave
+                    // EFLAGS architected after every micro-op.
+                    UState one;
+                    one.loadArch(start);
+                    UopExecutor single(one, mem);
+                    bool settled = true;
+                    for (const uops::Uop &u : body) {
+                        const bool taken = single.exec(u).taken;
+                        settled = settled && one.pending.kind ==
+                                                 uops::PendingFlags::Kind::None;
+                        if (taken)
+                            break;
+                    }
+
+                    ++runs;
+                    const bool same =
+                        got.regs == ref.regs && got.eip == ref.eip &&
+                        (got.eflags & x86::FLAG_ALL) ==
+                            (ref.eflags & x86::FLAG_ALL) &&
+                        ust.pending.kind == uops::PendingFlags::Kind::None &&
+                        settled && one.regs == ust.regs &&
+                        one.eflags == ust.eflags;
+                    if (!same && ++mismatches <= 5) {
+                        ADD_FAILURE()
+                            << "size " << size << ": "
+                            << block[1].toString() << " ; "
+                            << block.back().toString() << " from eax 0x"
+                            << std::hex << start.regs[x86::EAX]
+                            << " ebx 0x" << start.regs[x86::EBX]
+                            << " eflags 0x" << start.eflags
+                            << ": eflags 0x"
+                            << (got.eflags & x86::FLAG_ALL)
+                            << " vs 0x" << (ref.eflags & x86::FLAG_ALL)
+                            << ", eip 0x" << got.eip << " vs 0x"
+                            << ref.eip;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << runs << " blocks";
+}
+
 } // namespace
 } // namespace cdvm

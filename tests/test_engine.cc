@@ -108,7 +108,7 @@ TEST(CodeCacheManager, FlushResetsChainsAndDropsStaleTranslations)
     engine::EventStream events;
     RecordingSink rec;
     events.attach(&rec);
-    engine::CodeCacheManager ccm(mem, cfg, st, events);
+    engine::CodeCacheManager ccm(cfg, st, events);
 
     // A superblock in the (large) SBT arena chains into the BBT set.
     auto sb = backend.translate(0x1000);

@@ -170,7 +170,7 @@ struct InstallTarget
     engine::EngineStats stats;
     engine::EventStream events;
     engine::BranchProfile prof;
-    engine::CodeCacheManager ccm{mem, cfg, stats, events};
+    engine::CodeCacheManager ccm{cfg, stats, events};
 
     explicit InstallTarget(const workload::Program &prog)
     {

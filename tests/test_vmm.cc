@@ -35,46 +35,105 @@ TEST(Model, Eq1PaperNumbers)
 
 TEST(Vmm, PreciseStateOnDivideFault)
 {
-    // A block whose middle instruction faults: the VM must recover the
-    // exact architected state the interpreter produces.
-    Assembler as(0x1000);
-    as.movRI(EAX, 100);
-    as.movRI(EDX, 0);
-    as.movRI(EBX, 7);          // some state before the fault
-    as.aluRI(Op::Add, EBX, 1);
-    as.movRI(ECX, 0);
-    as.divA(ECX);              // #DE
-    as.movRI(ESI, 0x999);      // must NOT execute
-    as.hlt();
-
-    workload::Program prog;
+    // A fault inside translated code must leave exactly the
+    // interpreter's registers, memory and retire count: recovery may
+    // not run a completed store a second time. Three regions fault: a
+    // block whose middle instruction faults, a block that stores
+    // before the fault, and a superblock loop that faults on its
+    // 20,000th pass.
+    const MemRef word{REG_NONE, REG_NONE, 1, 0x00800000};
+    std::vector<workload::Program> progs;
     {
-        Assembler as2(0x1000);
-        as2.movRI(EAX, 100);
-        as2.movRI(EDX, 0);
-        as2.movRI(EBX, 7);
-        as2.aluRI(Op::Add, EBX, 1);
-        as2.movRI(ECX, 0);
-        as2.divA(ECX);
-        as2.movRI(ESI, 0x999);
-        as2.hlt();
-        prog = test::snippetProgram(as2);
+        Assembler as(0x1000);
+        as.movRI(EAX, 100);
+        as.movRI(EDX, 0);
+        as.movRI(EBX, 7);          // some state before the fault
+        as.aluRI(Op::Add, EBX, 1);
+        as.movRI(ECX, 0);
+        as.divA(ECX);              // #DE
+        as.movRI(ESI, 0x999);      // must NOT execute
+        as.hlt();
+        progs.push_back(test::snippetProgram(as));
     }
+    {
+        Assembler as(0x1000);
+        as.incMem(word);
+        as.movRI(ECX, 0);
+        as.divA(ECX);
+        as.hlt();
+        progs.push_back(test::snippetProgram(as));
+    }
+    {
+        Assembler as(0x1000);
+        auto loop = as.newLabel();
+        as.movRI(EDI, 20000);
+        as.bind(loop);
+        as.incMem(word);
+        as.dec(EDI);
+        as.movRI(EAX, 100);
+        as.movRI(EDX, 0);
+        as.divA(EDI);              // divides by zero on pass 20,000
+        as.jmp(loop);
+        progs.push_back(test::snippetProgram(as));
+    }
+
+    for (const char *name : {"vm.soft", "vm.soft.tmpl", "vm.be"}) {
+        for (std::size_t i = 0; i < progs.size(); ++i) {
+            x86::Memory ref_mem;
+            test::RunResult ref = test::runInterp(progs[i], ref_mem);
+            ASSERT_EQ(static_cast<int>(ref.exit),
+                      static_cast<int>(Exit::Trap));
+
+            x86::Memory mem;
+            vmm::VmmStats stats;
+            test::RunResult got = test::runVmm(
+                progs[i], mem, *engine::EngineConfig::byName(name),
+                &stats);
+            EXPECT_TRUE(
+                test::sameOutcome(progs[i], ref, ref_mem, got, mem))
+                << name << " program " << i;
+            EXPECT_EQ(got.retired, ref.retired) << name << " program " << i;
+            EXPECT_GT(stats.preciseStateRecoveries, 0u) << name;
+            if (i == 2) { // the loop faulted inside its superblock
+                EXPECT_GT(stats.insnsSbtCode, 0u) << name;
+            }
+        }
+    }
+}
+
+TEST(Vmm, CodeCacheArenaIsNotGuestVisible)
+{
+    // The code-cache arenas are address reservations: installing a
+    // translation writes nothing into guest memory. Store a word
+    // inside the BBT arena, run 400 fresh blocks (their reservations
+    // pass it), and load it back.
+    const MemRef probe{REG_NONE, REG_NONE, 1,
+                       static_cast<i32>(0xe0000400u)};
+    Assembler as(0x1000);
+    as.movMI(probe, 0x12345678);
+    for (int i = 0; i < 400; ++i) {
+        auto next = as.newLabel();
+        as.aluRI(Op::Add, EAX, i);
+        as.jmp(next);
+        as.bind(next);
+    }
+    as.movRM(EBX, probe);
+    as.hlt();
+    workload::Program prog = test::snippetProgram(as);
 
     x86::Memory ref_mem;
     test::RunResult ref = test::runInterp(prog, ref_mem);
-    ASSERT_EQ(static_cast<int>(ref.exit),
-              static_cast<int>(Exit::Trap));
+    ASSERT_EQ(ref.cpu.regs[EBX], 0x12345678u);
 
-    vmm::VmmConfig cfg;
-    x86::Memory mem;
-    vmm::VmmStats stats;
-    test::RunResult got = test::runVmm(prog, mem, cfg, &stats);
-    EXPECT_EQ(static_cast<int>(got.exit), static_cast<int>(Exit::Trap));
-    EXPECT_EQ(got.cpu.eip, ref.cpu.eip); // points at the div
-    for (unsigned r = 0; r < NUM_REGS; ++r)
-        EXPECT_EQ(got.cpu.regs[r], ref.cpu.regs[r]) << r;
-    EXPECT_GT(stats.preciseStateRecoveries, 0u);
+    for (const char *name :
+         {"vm.soft", "vm.soft.tmpl", "vm.be", "vm.soft.async"}) {
+        x86::Memory mem;
+        test::RunResult got =
+            test::runVmm(prog, mem, *engine::EngineConfig::byName(name));
+        EXPECT_EQ(got.cpu.regs[EBX], 0x12345678u) << name;
+        EXPECT_TRUE(test::sameOutcome(prog, ref, ref_mem, got, mem))
+            << name;
+    }
 }
 
 TEST(Vmm, Int3PreciseState)
