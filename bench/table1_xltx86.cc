@@ -35,7 +35,8 @@ measureHaloop(Cycles xlt_latency, double *uops_per_insn = nullptr)
         workload::Program prog = workload::generateProgram(pp);
         x86::Memory mem;
         prog.loadInto(mem);
-        hwassist::HaLoop loop(mem, xlt);
+        x86::Memory code_cache;
+        hwassist::HaLoop loop(mem, code_cache, xlt);
         // Translate straight-line regions spread through the image.
         Addr pc = prog.codeBase;
         Addr cc = 0xe0000000;

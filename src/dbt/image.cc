@@ -208,7 +208,6 @@ contentKeyOf(const ImageRecordHeader &h, u64 page_key,
     f.put(h.kind);
     f.put(static_cast<u8>(h.flags & IMG_F_SEMANTIC));
     f.put(h.entryPc);
-    f.put(h.numX86Insns);
     f.put(h.x86Bytes);
     f.put(h.fallthroughPc);
     f.put(h.condBranchTarget);
@@ -234,8 +233,8 @@ sameRecord(const ImageRecordHeader &a, u64 a_key,
 {
     if (a.kind != b.kind ||
         (a.flags & IMG_F_SEMANTIC) != (b.flags & IMG_F_SEMANTIC) ||
-        a.entryPc != b.entryPc || a.numX86Insns != b.numX86Insns ||
-        a.x86Bytes != b.x86Bytes || a.fallthroughPc != b.fallthroughPc ||
+        a.entryPc != b.entryPc || a.x86Bytes != b.x86Bytes ||
+        a.fallthroughPc != b.fallthroughPc ||
         a.condBranchTarget != b.condBranchTarget ||
         a.condBranchPc != b.condBranchPc || a_key != b_key ||
         !std::equal(a_pcs.begin(), a_pcs.end(), b_pcs.begin(),
@@ -262,9 +261,6 @@ headerOf(const Translation &t)
     h.condBranchTarget = t.condBranchTarget;
     h.condBranchPc = t.condBranchPc;
     h.execCount = t.execCount;
-    h.takenCount = t.takenCount;
-    h.notTakenCount = t.notTakenCount;
-    h.numX86Insns = t.numX86Insns;
     h.x86Bytes = t.x86Bytes;
     h.codeBytes = t.codeBytes;
     h.nPcs = static_cast<u32>(t.pcSpan().size());
@@ -397,7 +393,6 @@ TransImage::operator=(TransImage &&other) noexcept
     hdr = other.hdr;
     lists = other.lists;
     listPages = other.listPages;
-    dedupe = other.dedupe;
     recIndex = other.recIndex;
     recordsBase = other.recordsBase;
     relocations = other.relocations;
@@ -415,7 +410,6 @@ TransImage::reset()
     hdr = nullptr;
     lists = {};
     listPages = {};
-    dedupe = {};
     recIndex = {};
     recordsBase = nullptr;
     relocations = {};
@@ -461,8 +455,8 @@ TransImage::verify()
     // byte-count consistent with the fixed entry sizes (PageLists: at
     // least its list table, then whole pages).
     static constexpr u64 entry_bytes[IMAGE_NUM_SECTIONS] = {
-        0, sizeof(ImageDedupeEntry), sizeof(ImageRecordRef), 0,
-        sizeof(ImageReloc), sizeof(ImageBranchStat)};
+        0, sizeof(ImageRecordRef), 0, sizeof(ImageReloc),
+        sizeof(ImageBranchStat)};
     u64 prev_end = sizeof(ImageHeader);
     for (u32 s = 0; s < IMAGE_NUM_SECTIONS; ++s) {
         const ImageSectionDesc &d = hdr->sections[s];
@@ -478,7 +472,6 @@ TransImage::verify()
         return hdr->sections[static_cast<u32>(s)];
     };
     const ImageSectionDesc &dp = desc(ImageSection::PageLists);
-    const ImageSectionDesc &dd = desc(ImageSection::DedupeIndex);
     const ImageSectionDesc &di = desc(ImageSection::RecordIndex);
     const ImageSectionDesc &dr = desc(ImageSection::Records);
     const ImageSectionDesc &dl = desc(ImageSection::Relocs);
@@ -494,9 +487,6 @@ TransImage::verify()
                                                 list_table),
                  static_cast<std::size_t>((dp.bytes - list_table) /
                                           sizeof(Addr))};
-    dedupe = {reinterpret_cast<const ImageDedupeEntry *>(base +
-                                                         dd.offset),
-              static_cast<std::size_t>(dd.count)};
     recIndex = {reinterpret_cast<const ImageRecordRef *>(base +
                                                          di.offset),
                 static_cast<std::size_t>(di.count)};
@@ -532,18 +522,9 @@ TransImage::verify()
             recordBlobBytes(rh->nPcs, rh->nUops);
         if (dr.bytes - off < body)
             return LoadError::Corrupt;
-        for (unsigned c = 0; c < 2; ++c) {
-            if (rh->chainRecord[c] != NO_RECORD &&
-                rh->chainRecord[c] >= n)
-                return LoadError::Corrupt;
-        }
     }
     for (const ImageReloc &r : relocations) {
         if (r.fromRecord >= n || r.toRecord >= n || r.exitSlot >= 2)
-            return LoadError::Corrupt;
-    }
-    for (const ImageDedupeEntry &d : dedupe) {
-        if (d.record >= n)
             return LoadError::Corrupt;
     }
     return LoadError::None;
@@ -764,17 +745,13 @@ ImageBuilder::add(const TransImage &img)
         remap[j] = stage(*v.hdr, ref.pageKey, img.pageList(ref.pageList),
                          v.x86pcs, v.uops);
     }
-    // Chains, remapped to builder indices. A dedupe hit may fill a
-    // shared record's still-empty chain slots, never overwrite them.
-    for (std::size_t j = 0; j < img.recordCount(); ++j) {
-        const TransImage::RecordView v = img.record(j);
-        for (unsigned c = 0; c < 2; ++c) {
-            const u32 rec = v.hdr->chainRecord[c];
-            if (rec == NO_RECORD || rec >= remap.size())
-                continue;
-            bindChain(remap[j], c, v.hdr->chainTargetPc[c], remap[rec]);
-        }
-    }
+    // Chains, remapped to builder indices in one pass over the
+    // relocations (verify() bounds their records and slots). A dedupe
+    // hit may fill a shared record's still-empty chain slots, never
+    // overwrite them.
+    for (const ImageReloc &r : img.relocs())
+        bindChain(remap[r.fromRecord], r.exitSlot, r.targetPc,
+                  remap[r.toRecord]);
 }
 
 void
@@ -797,13 +774,9 @@ ImageBuilder::stage(const ImageRecordHeader &hdr, u64 page_key,
         Staged &kept = recs[hit->second];
         if (sameRecord(kept.hdr, kept.pageKey, kept.x86pcs, kept.uops,
                        hdr, page_key, pcs, body)) {
-            // Shared record: keep the hotter profile of the two.
+            // Shared record: keep the hotter exec count of the two.
             kept.hdr.execCount = std::max(kept.hdr.execCount,
                                           hdr.execCount);
-            kept.hdr.takenCount = std::max(kept.hdr.takenCount,
-                                           hdr.takenCount);
-            kept.hdr.notTakenCount =
-                std::max(kept.hdr.notTakenCount, hdr.notTakenCount);
             ++nDedupe;
             return hit->second;
         }
@@ -815,13 +788,9 @@ ImageBuilder::stage(const ImageRecordHeader &hdr, u64 page_key,
     s.hdr.nPcs = static_cast<u32>(pcs.size());
     s.hdr.nUops = static_cast<u32>(body.size());
     s.hdr.pad0 = 0;
-    for (unsigned c = 0; c < 2; ++c) {
-        s.hdr.chainTargetPc[c] = 0;
-        s.hdr.chainRecord[c] = NO_RECORD;
-    }
+    s.hdr.pad1 = 0;
     s.x86pcs = pcs;
     s.uops = body;
-    s.contentKey = ck;
     s.pageKey = page_key;
     s.pageList =
         pageLists
@@ -838,10 +807,10 @@ void
 ImageBuilder::bindChain(u32 from, unsigned slot, Addr target_pc,
                         u32 to)
 {
-    ImageRecordHeader &h = recs[from].hdr;
-    if (h.chainRecord[slot] == NO_RECORD) {
-        h.chainTargetPc[slot] = target_pc;
-        h.chainRecord[slot] = to;
+    Staged &s = recs[from];
+    if (s.chainRecord[slot] == NO_RECORD) {
+        s.chainTargetPc[slot] = target_pc;
+        s.chainRecord[slot] = to;
     }
 }
 
@@ -863,7 +832,6 @@ ImageBuilder::build()
         for (const Staged &s : recs) {
             const u64 cost = recordBlobBytes(s.hdr.nPcs, s.hdr.nUops) +
                              sizeof(ImageRecordRef) +
-                             sizeof(ImageDedupeEntry) +
                              2 * sizeof(ImageReloc);
             if (acc + cost > opt.sizeBudgetBytes)
                 break;
@@ -902,11 +870,11 @@ ImageBuilder::build()
                                       list_of[s.pageList], 0};
         rec_bytes += recordBlobBytes(s.hdr.nPcs, s.hdr.nUops);
         for (unsigned c = 0; c < 2; ++c) {
-            if (s.hdr.chainRecord[c] < kept) {
+            if (s.chainRecord[c] < kept) {
                 ImageReloc r;
-                r.targetPc = s.hdr.chainTargetPc[c];
+                r.targetPc = s.chainTargetPc[c];
                 r.fromRecord = static_cast<u32>(i);
-                r.toRecord = s.hdr.chainRecord[c];
+                r.toRecord = s.chainRecord[c];
                 r.exitSlot = c;
                 relocs.push_back(r);
             }
@@ -930,8 +898,6 @@ ImageBuilder::build()
     place(ImageSection::PageLists,
           list_table_bytes + list_pages.size() * sizeof(Addr),
           list_table.size());
-    place(ImageSection::DedupeIndex,
-          kept * sizeof(ImageDedupeEntry), kept);
     place(ImageSection::RecordIndex, kept * sizeof(ImageRecordRef),
           kept);
     place(ImageSection::Records, rec_bytes, kept);
@@ -953,35 +919,16 @@ ImageBuilder::build()
     std::copy_n(reinterpret_cast<const u8 *>(list_pages.data()),
                 list_pages.size() * sizeof(Addr), p + list_table_bytes);
 
-    std::vector<ImageDedupeEntry> dd(kept);
-    for (std::size_t i = 0; i < kept; ++i)
-        dd[i] = ImageDedupeEntry{recs[i].contentKey,
-                                 static_cast<u32>(i), 0};
-    std::sort(dd.begin(), dd.end(),
-              [](const ImageDedupeEntry &a, const ImageDedupeEntry &b) {
-                  return a.key != b.key ? a.key < b.key
-                                        : a.record < b.record;
-              });
-    std::memcpy(at(sec(ImageSection::DedupeIndex).offset), dd.data(),
-                dd.size() * sizeof(ImageDedupeEntry));
-
     std::copy_n(reinterpret_cast<const u8 *>(rec_index.data()),
                 kept * sizeof(ImageRecordRef),
                 at(sec(ImageSection::RecordIndex).offset));
 
     for (std::size_t i = 0; i < kept; ++i) {
         const Staged &s = recs[i];
-        ImageRecordHeader rh = s.hdr;
-        for (unsigned c = 0; c < 2; ++c) {
-            if (rh.chainRecord[c] >= kept) {
-                rh.chainTargetPc[c] = 0;
-                rh.chainRecord[c] = NO_RECORD;
-            }
-        }
         u8 *rp =
             at(sec(ImageSection::Records).offset + rec_index[i].offset);
-        std::memcpy(rp, &rh, sizeof rh);
-        rp += sizeof rh;
+        std::memcpy(rp, &s.hdr, sizeof s.hdr);
+        rp += sizeof s.hdr;
         std::memcpy(rp, s.x86pcs.data(), s.x86pcs.size_bytes());
         rp += s.x86pcs.size_bytes();
         for (const uops::Uop &u : s.uops) {

@@ -21,12 +21,13 @@
  *                  interpreted)
  *   PageLists    { first, count }* list table, then Addr pages[]:
  *                the deduplicated sorted covered-page runs
- *   DedupeIndex  { contentKey, record }*                 sorted
  *   RecordIndex  { offset, pageKey, pageList }* per record,
  *                hotness-ranked
  *   Records      ImageRecordHeader | Addr x86pcs[] | uops::Uop body[]
- *   Relocs       { targetPc, fromRecord, toRecord, exitSlot }*
- *   BranchProfile{ pc, taken, notTaken }*                sorted
+ *   Relocs       { targetPc, fromRecord, toRecord, exitSlot }*: the
+ *                image's only copy of its chain links
+ *   BranchProfile{ pc, taken, notTaken }* sorted: its only copy of
+ *                the branch counts
  *
  * Content addressing: each record is keyed by a pageKey -- imageHash
  * over the sorted (guest page, page-content hash) pairs its code
@@ -70,7 +71,7 @@ namespace cdvm::dbt
 constexpr u64 IMAGE_MAGIC = 0x32474D494D564443ull;
 /** Image format version; any other version is BadVersion (images are
  *  rebuilt, never migrated). */
-constexpr u32 IMAGE_VERSION = 3;
+constexpr u32 IMAGE_VERSION = 4;
 
 /** Why an image failed to load. */
 enum class LoadError
@@ -137,7 +138,6 @@ constexpr u32 NO_RECORD = 0xFFFFFFFFu;
 enum class ImageSection : u32
 {
     PageLists = 0,
-    DedupeIndex,
     RecordIndex,
     Records,
     Relocs,
@@ -200,15 +200,6 @@ struct ImageRecordRef
 };
 static_assert(sizeof(ImageRecordRef) == 24);
 
-/** DedupeIndex entry: content key -> canonical record. */
-struct ImageDedupeEntry
-{
-    u64 key = 0; //!< imageHash over the record's semantic bytes + pageKey
-    u32 record = 0;
-    u32 pad0 = 0;
-};
-static_assert(sizeof(ImageDedupeEntry) == 16);
-
 /** One relocation: re-bind fromRecord's exit chain to toRecord. */
 struct ImageReloc
 {
@@ -244,7 +235,10 @@ enum : u8
 /**
  * One record: the header, then nPcs Addr x86pcs, then nUops raw
  * uops::Uop bodies (8-aligned; the Uop's x86pc provenance tag is
- * stored in place, so nothing needs re-attachment at install).
+ * stored in place, so nothing needs re-attachment at install). The
+ * pc table has one entry per covered instruction, so nPcs is also the
+ * translation's instruction count. build() copies the header byte for
+ * byte, so its padding is explicit and zeroed.
  */
 struct ImageRecordHeader
 {
@@ -253,13 +247,6 @@ struct ImageRecordHeader
     Addr condBranchTarget = 0;
     Addr condBranchPc = 0;
     u64 execCount = 0;
-    u64 takenCount = 0;
-    u64 notTakenCount = 0;
-    /** Chains by record index (NO_RECORD = unchained); the Relocs
-     *  section carries the same links flat for the one-pass fixup. */
-    Addr chainTargetPc[2] = {0, 0};
-    u32 chainRecord[2] = {NO_RECORD, NO_RECORD};
-    u32 numX86Insns = 0;
     u32 x86Bytes = 0;
     u32 codeBytes = 0; //!< encoded size (code-cache arena accounting)
     u32 nPcs = 0;
@@ -267,8 +254,11 @@ struct ImageRecordHeader
     u8 kind = 0;  //!< 0 BasicBlock, 1 Superblock
     u8 flags = 0; //!< IMG_F_*
     u16 pad0 = 0;
+    u32 pad1 = 0;
 };
-static_assert(sizeof(ImageRecordHeader) == 104);
+static_assert(sizeof(ImageRecordHeader) == 64);
+static_assert(std::has_unique_object_representations_v<ImageRecordHeader>,
+              "ImageRecordHeader has implicit padding");
 static_assert(std::is_trivially_copyable_v<uops::Uop>);
 static_assert(alignof(uops::Uop) <= 8);
 static_assert(sizeof(uops::Uop) % 8 == 0);
@@ -358,10 +348,6 @@ class TransImage
     {
         return listPages.subspan(lists[k].first, lists[k].count);
     }
-    std::span<const ImageDedupeEntry> dedupeIndex() const
-    {
-        return dedupe;
-    }
     std::span<const ImageReloc> relocs() const { return relocations; }
     std::span<const ImageBranchStat> branchProfile() const
     {
@@ -384,7 +370,6 @@ class TransImage
     const ImageHeader *hdr = nullptr;
     std::span<const ImagePageList> lists;
     std::span<const Addr> listPages;
-    std::span<const ImageDedupeEntry> dedupe;
     std::span<const ImageRecordRef> recIndex;
     const u8 *recordsBase = nullptr;
     std::span<const ImageReloc> relocations;
@@ -447,16 +432,18 @@ class ImageBuilder
   private:
     struct Staged
     {
-        /** Chains hold builder indices. */
         ImageRecordHeader hdr;
         std::span<const Addr> x86pcs;
         std::span<const uops::Uop> uops;
-        u64 contentKey = 0;
         u64 pageKey = 0;  //!< the content address it was staged under
         u32 pageList = 0; //!< builder id of its sorted page list
+        /** Chain slots by builder index (NO_RECORD = unchained);
+         *  build() writes them out as the Relocs section. */
+        Addr chainTargetPc[2] = {0, 0};
+        u32 chainRecord[2] = {NO_RECORD, NO_RECORD};
     };
 
-    /** Dedupe-or-stage one record (chains reset; caller re-binds).
+    /** Dedupe-or-stage one record (chains unset; caller binds them).
      *  @return the builder index the record landed on. */
     u32 stage(const ImageRecordHeader &hdr, u64 page_key,
               std::span<const Addr> page_list, std::span<const Addr> pcs,
@@ -468,7 +455,8 @@ class ImageBuilder
 
     Options opt;
     std::vector<Staged> recs;
-    std::unordered_map<u64, u32> byContent; //!< contentKey -> index
+    /** Record content key -> builder index: the build-time dedupe. */
+    std::unordered_map<u64, u32> byContent;
     /** Distinct sorted page lists -> builder list id. */
     std::map<std::vector<Addr>, u32> pageLists;
     std::map<Addr, std::pair<u64, u64>> branch; //!< pc -> counts

@@ -34,10 +34,10 @@ enum class TransKind : u8
 };
 
 /**
- * Which translator produced a translation. Persisted (two spare flag
- * bits in both the v1 repository and the v2 image formats), so a
- * warm-started VM knows which tier each restored translation came
- * from and the template tier's work survives a save/boot round trip.
+ * Which translator produced a translation. Persisted (two bits of the
+ * warm image's record flags), so a warm-started VM knows which tier
+ * each restored translation came from and the template tier's work
+ * survives a save/boot round trip.
  */
 enum class TransProvenance : u8
 {
@@ -90,7 +90,8 @@ struct Translation
     Addr entryPc = 0;       //!< architected (x86) entry address
     Addr codeAddr = 0;      //!< code-cache address reserved for the body
     u32 codeBytes = 0;      //!< encoded size (the reservation's length)
-    u32 numX86Insns = 0;    //!< architected instructions covered
+    /** Architected instructions covered: one pcSpan() entry each. */
+    u32 numX86Insns = 0;
     u32 x86Bytes = 0;       //!< architected bytes covered
     Addr fallthroughPc = 0; //!< x86 PC following the translated region
     bool containsComplex = false;
@@ -154,17 +155,9 @@ struct Translation
     }
 
     // --- profiling (maintained by the VMM during emulation) ----------
-    u64 execCount = 0;   //!< entries into this translation
-    u64 takenCount = 0;  //!< terminating conditional branch taken
-    u64 notTakenCount = 0;
-
-    /** Taken bias of the terminating branch (0.5 when unobserved). */
-    double
-    takenBias() const
-    {
-        u64 n = takenCount + notTakenCount;
-        return n ? static_cast<double>(takenCount) / n : 0.5;
-    }
+    /** Entries into this translation. The terminating branch's
+     *  direction counts live in engine::BranchProfile. */
+    u64 execCount = 0;
 
     // --- chaining ------------------------------------------------------
     /**

@@ -45,17 +45,15 @@ XltBbtBackend::translate(Addr pc)
     bool done = false;
     while (!done && budget > 0) {
         // Straight-line body: the HAloop fetches, XLTx86-decodes and
-        // stores encoded micro-ops into the scratch window.
-        hwassist::HaLoop::Result r =
-            loop.run(cur, SCRATCH_BASE, budget);
+        // stores encoded micro-ops into the scratch memory.
+        hwassist::HaLoop::Result r = loop.run(cur, 0, budget);
         st.xltInsnsTranslated += r.insnsTranslated;
 
         // Lift the emitted encoding back into the translation,
         // attaching x86-pc provenance per HAloop iteration.
         u32 off = 0;
         for (const hwassist::HaLoop::Step &step : r.steps) {
-            std::vector<u8> body =
-                mem.readBlock(SCRATCH_BASE + off, step.uopBytes);
+            std::vector<u8> body = scratch.readBlock(off, step.uopBytes);
             uops::UopVec v;
             if (!uops::decodeAll(
                     std::span<const u8>(body.data(), body.size()), v))

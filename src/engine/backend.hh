@@ -94,18 +94,10 @@ class TemplateBbtBackend : public TranslationBackend
 class XltBbtBackend : public TranslationBackend
 {
   public:
-    /**
-     * The HAloop's STF target: a concealed scratch window the
-     * hardware emits encoded micro-ops into before the VMM lifts
-     * them back into the translation (well above guest code, stack
-     * and both code-cache arenas).
-     */
-    static constexpr Addr SCRATCH_BASE = 0xf8000000;
-
     XltBbtBackend(x86::Memory &memory, unsigned max_insns,
                   EngineStats &stats)
-        : mem(memory), loop(memory, xltUnit), maxInsns(max_insns),
-          st(stats)
+        : mem(memory), loop(memory, scratch, xltUnit),
+          maxInsns(max_insns), st(stats)
     {
     }
 
@@ -119,6 +111,10 @@ class XltBbtBackend : public TranslationBackend
 
   private:
     x86::Memory &mem;
+    /** The HAloop's STF target: concealed memory the hardware emits
+     *  encoded micro-ops into, from address 0, before the VMM lifts
+     *  them back into the translation. The guest cannot address it. */
+    x86::Memory scratch;
     hwassist::XltUnit xltUnit;
     hwassist::HaLoop loop;
     unsigned maxInsns;

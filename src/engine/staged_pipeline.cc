@@ -26,10 +26,10 @@ StagedPipeline::StagedPipeline(
     }
     ctxFreeAt.assign(p.asyncTranslators, 0.0);
 
-    // Warm start: install the whole repository before the first
-    // dispatched instruction. Each block gets its code-cache image up
-    // front and skips the per-touch BBT translation below; the cost is
-    // whatever the attached cycle model prices a WarmInstall at.
+    // Warm start: install the whole image before the first dispatched
+    // instruction. Each block is installed up front and skips the
+    // per-touch BBT translation below; the cost is whatever the
+    // attached cycle model prices a WarmInstall at.
     if (p.warmStart && p.translateCold) {
         for (u32 i = 0; i < blocks.size(); ++i) {
             BlockState &bs = st[i];

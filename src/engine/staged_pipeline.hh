@@ -43,11 +43,12 @@ struct StagedParams
     Addr sbtBase = 0xe8000000;
 
     /**
-     * Warm start from a persistent translation repository: every block
-     * begins in BBT mode, with the install work (repository validation
-     * + code-cache writes) emitted as up-front WarmInstall events
-     * before the first executed instruction. Only meaningful with
-     * translateCold (the repository replaces the BBT transient).
+     * Warm start from a translation image: every block begins in BBT
+     * mode, with the install work (record validation, arena
+     * reservation and chain relocation) emitted as up-front
+     * WarmInstall events before the first executed instruction. Only
+     * meaningful with translateCold (the image replaces the BBT
+     * transient).
      */
     bool warmStart = false;
 

@@ -112,13 +112,10 @@ TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
 
     // Branch-direction profiling on the region's terminating branch.
     if (t->endsInCondBranch) {
-        if (cpu.eip == t->condBranchTarget) {
-            ++t->takenCount;
+        if (cpu.eip == t->condBranchTarget)
             prof.record(t->condBranchPc, true);
-        } else if (cpu.eip == t->fallthroughPc) {
-            ++t->notTakenCount;
+        else if (cpu.eip == t->fallthroughPc)
             prof.record(t->condBranchPc, false);
-        }
     }
     return x86::Exit::None;
 }

@@ -9,6 +9,25 @@ namespace cdvm::engine
 using dbt::TransId;
 using dbt::Translation;
 
+namespace
+{
+
+/**
+ * True when every micro-op names a real opcode and real registers. The
+ * body comes from outside the program, and the executor indexes its
+ * register files with these fields unchecked.
+ */
+bool
+uopFieldsInRange(std::span<const uops::Uop> body)
+{
+    return std::all_of(body.begin(), body.end(), [](const uops::Uop &u) {
+        return u.op < uops::UOp::NUM_UOPS && u.dst < uops::NUM_UREGS &&
+               u.src1 < uops::NUM_UREGS && u.src2 < uops::NUM_UREGS;
+    });
+}
+
+} // namespace
+
 WarmStartReport
 warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
                  CodeCacheManager &ccm, BranchProfile &prof,
@@ -44,7 +63,8 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
         std::sort(covered.begin(), covered.end());
         const std::span<const Addr> list = img.pageList(ref.pageList);
         if (!std::equal(covered.begin(), covered.end(), list.begin(),
-                        list.end())) {
+                        list.end()) ||
+            !uopFieldsInRange(v.uops)) {
             ++rep.invalidated;
             continue;
         }
@@ -55,7 +75,7 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
         t->kind = rh.kind ? dbt::TransKind::Superblock
                           : dbt::TransKind::BasicBlock;
         t->entryPc = rh.entryPc;
-        t->numX86Insns = rh.numX86Insns;
+        t->numX86Insns = rh.nPcs; // one pc per covered instruction
         t->x86Bytes = rh.x86Bytes;
         t->fallthroughPc = rh.fallthroughPc;
         t->containsComplex = rh.flags & dbt::IMG_F_COMPLEX;
@@ -66,8 +86,6 @@ warmStartInstall(const dbt::TransImage &img, const x86::Memory &mem,
         t->condBranchTarget = rh.condBranchTarget;
         t->condBranchPc = rh.condBranchPc;
         t->execCount = rh.execCount;
-        t->takenCount = rh.takenCount;
-        t->notTakenCount = rh.notTakenCount;
         t->codeBytes = rh.codeBytes;
         t->mappedUops = v.uops.data();
         t->mappedUopCount = rh.nUops;

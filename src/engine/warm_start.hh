@@ -8,9 +8,10 @@
  * installs them through the normal CodeCacheManager path (so codeAddr
  * is recomputed and the arena accounting is real), re-binds the saved
  * chains to the freshly assigned TransIds in one relocation pass, and
- * seeds the branch-direction profile plus per-translation hot counts.
- * Anything stale is skipped: the VM silently falls back to the cold
- * path for exactly those regions.
+ * seeds the branch-direction profile plus per-translation exec counts.
+ * Anything stale, or naming an opcode or register that does not
+ * exist, is skipped: the VM silently falls back to the cold path for
+ * exactly those regions.
  */
 
 #ifndef CDVM_ENGINE_WARM_START_HH
@@ -31,7 +32,8 @@ struct WarmStartReport
     u64 installed = 0;      //!< translations installed pre-dispatch
     u64 installedInsns = 0; //!< x86 instructions those cover (the
                             //!< warm-fill work a cycle model prices)
-    u64 invalidated = 0;    //!< records rejected (stale guest code)
+    u64 invalidated = 0;    //!< records rejected (stale guest code or
+                            //!< an out-of-range micro-op field)
     u64 profileSeeded = 0;  //!< branch-profile entries seeded
     /** Chain links re-bound in the flat relocation pass. */
     u64 relocations = 0;
@@ -46,9 +48,10 @@ struct WarmStartReport
  * one pass over the flat relocation table. Validation is per record
  * against *this* context's guest memory: one content address is
  * computed per distinct page list, and a record installs only if its
- * stored pageKey matches its list's and the list is exactly the pages
- * its code covers; anything else silently falls back cold. The image
- * must outlive the engine (the Vmm holds the generation handle). With
+ * stored pageKey matches its list's, the list is exactly the pages
+ * its code covers and every micro-op's opcode and register fields are
+ * in range; anything else silently falls back cold. The image must
+ * outlive the engine (the Vmm holds the generation handle). With
  * an event stream, each install is emitted as a WarmInstall StageEvent
  * (insns = translated x86 instructions), so attached profiling sinks
  * see the warm fill as work.

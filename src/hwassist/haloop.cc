@@ -129,6 +129,8 @@ HaLoop::run(Addr x86_pc, Addr code_addr, unsigned max_insns)
 
     uops::UopExecutor exe(st, mem);
     exe.setXltHandler(&xlt);
+    // STF runs against the concealed store target, never guest memory.
+    uops::UopExecutor stf(st, stfTarget);
 
     const uops::UopVec prog = program();
 
@@ -139,7 +141,8 @@ HaLoop::run(Addr x86_pc, Addr code_addr, unsigned max_insns)
         std::size_t i = 0;
         while (i < prog.size()) {
             const Uop &u = prog[i];
-            uops::UopExecutor::Outcome o = exe.exec(u);
+            const uops::UopExecutor::Outcome o =
+                u.op == UOp::StF ? stf.exec(u) : exe.exec(u);
             ++res.uopsExecuted;
             // Fused pairs issue as a single entity: the tail's cycle
             // is absorbed by the head.

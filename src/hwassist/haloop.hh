@@ -21,7 +21,9 @@
  * executor and the XltUnit, so VM.be translations are produced by the
  * very mechanism the paper describes) and *accounts* its cost, which
  * the Table-1 bench compares against the paper's 20 cycles per x86
- * instruction.
+ * instruction. The code cache STF writes is concealed memory: LDF
+ * reads guest code, but STF writes a store target the caller owns,
+ * which guest code cannot address.
  */
 
 #ifndef CDVM_HWASSIST_HALOOP_HH
@@ -45,7 +47,15 @@ constexpr Addr HALOOP_EXIT_CTI = 0xffff0002;
 class HaLoop
 {
   public:
-    HaLoop(x86::Memory &memory, XltUnit &unit) : mem(memory), xlt(unit) {}
+    /**
+     * @param code   guest memory, which LDF fetches x86 code from
+     * @param store  the concealed memory STF writes micro-ops into
+     * @param unit   the XLTx86 functional unit
+     */
+    HaLoop(x86::Memory &code, x86::Memory &store, XltUnit &unit)
+        : mem(code), stfTarget(store), xlt(unit)
+    {
+    }
 
     /** One completed HAloop iteration (one translated instruction). */
     struct Step
@@ -71,7 +81,7 @@ class HaLoop
 
     /**
      * Run the loop: translate straight-line code starting at x86_pc,
-     * writing encoded micro-ops into guest memory at code_addr.
+     * writing encoded micro-ops into the store target at code_addr.
      */
     Result run(Addr x86_pc, Addr code_addr, unsigned max_insns = 64);
 
@@ -90,6 +100,7 @@ class HaLoop
     Cycles uopLatency(const uops::Uop &u) const;
 
     x86::Memory &mem;
+    x86::Memory &stfTarget;
     XltUnit &xlt;
     u64 totalInsns = 0;
     Cycles totalCycles = 0;

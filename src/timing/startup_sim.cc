@@ -379,10 +379,10 @@ StartupResult::exportStats(StatRegistry &reg,
             "hotspot regions optimized");
     reg.set(prefix + ".warm_installs",
             static_cast<double>(warmInstalls),
-            "repository entries installed at warm start");
+            "image records installed at warm start");
     reg.set(prefix + ".static_insns.warm",
             static_cast<double>(staticInsnsWarm),
-            "static instructions installed from the repository");
+            "static instructions installed from the image");
     reg.set(prefix + ".decode_active_cycles", decodeActiveCycles,
             "cycles with the x86 decode logic powered on");
     reg.set(prefix + ".cycles.sbt_xlate_bg", bgSbtXlateCycles,

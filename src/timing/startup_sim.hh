@@ -54,7 +54,7 @@ enum class CycleCat : u8
     BbtXlate,     //!< BBT translation work (the paper's "BBT overhead")
     SbtXlate,     //!< SBT translation work
     Dispatch,     //!< VMM dispatch / linking not covered by chaining
-    WarmLoad,     //!< warm-start repository load/install work
+    WarmLoad,     //!< warm-start image load/install work
     NUM_CATS,
 };
 
@@ -87,9 +87,9 @@ struct StartupResult
     u64 staticInsnsSbt = 0;   //!< M_SBT actually optimized
     u64 bbtTranslations = 0;
     u64 sbtRegionTranslations = 0;
-    /** Warm start: repository entries installed before execution. */
+    /** Warm start: image records installed before execution. */
     u64 warmInstalls = 0;
-    /** Warm start: static instructions installed from the repository. */
+    /** Warm start: static instructions installed from the image. */
     u64 staticInsnsWarm = 0;
 
     // Dynamic instruction mix.

@@ -114,17 +114,20 @@ TEST(HaLoop, TranslatesStraightLineCode)
     mem.writeBlock(0x2000, as.finalize());
 
     hwassist::XltUnit xlt;
-    hwassist::HaLoop loop(mem, xlt);
+    x86::Memory code_cache;
+    hwassist::HaLoop loop(mem, code_cache, xlt);
     auto r = loop.run(0x2000, 0xe0000000, 64);
 
     EXPECT_EQ(r.insnsTranslated, 3u);
     EXPECT_TRUE(r.stoppedCti); // the RET
     EXPECT_FALSE(r.stoppedComplex);
     EXPECT_GT(r.bytesEmitted, 0u);
+    // STF wrote the concealed code cache, not guest memory.
+    EXPECT_EQ(mem.read32(0xe0000000), 0u);
 
     // The emitted code-cache bytes decode back to the same micro-ops
     // the software BBT would produce for the straight-line body.
-    std::vector<u8> cc = mem.readBlock(0xe0000000, r.bytesEmitted);
+    std::vector<u8> cc = code_cache.readBlock(0xe0000000, r.bytesEmitted);
     uops::UopVec decoded;
     ASSERT_TRUE(uops::decodeAll(
         std::span<const u8>(cc.data(), cc.size()), decoded));
@@ -139,7 +142,8 @@ TEST(HaLoop, CostNearPaperTwentyCycles)
     x86::Memory mem;
     prog.loadInto(mem);
     hwassist::XltUnit xlt;
-    hwassist::HaLoop loop(mem, xlt);
+    x86::Memory code_cache;
+    hwassist::HaLoop loop(mem, code_cache, xlt);
     Addr pc = prog.codeBase;
     Addr cc = 0xe0000000;
     while (pc < prog.codeBase + prog.image.size()) {
@@ -165,7 +169,8 @@ TEST(HaLoop, StopsAtComplex)
     as.ret();
     mem.writeBlock(0x2000, as.finalize());
     hwassist::XltUnit xlt;
-    hwassist::HaLoop loop(mem, xlt);
+    x86::Memory code_cache;
+    hwassist::HaLoop loop(mem, code_cache, xlt);
     auto r = loop.run(0x2000, 0xe0000000, 64);
     EXPECT_EQ(r.insnsTranslated, 1u);
     EXPECT_TRUE(r.stoppedComplex);

@@ -25,8 +25,10 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,6 +191,24 @@ reseal(std::vector<u8> &blob)
     std::memcpy(blob.data() + at, &sum, sizeof sum);
 }
 
+/** One chain link by what it joins: from (entryPc, kind), exit slot,
+ *  target pc, to (entryPc, kind). */
+using Link = std::tuple<Addr, u8, u32, Addr, Addr, u8>;
+
+/** The chain links an image's relocations carry. */
+std::set<Link>
+linksOf(const dbt::TransImage &img)
+{
+    std::set<Link> links;
+    for (const dbt::ImageReloc &r : img.relocs()) {
+        const dbt::ImageRecordHeader &from = *img.record(r.fromRecord).hdr;
+        const dbt::ImageRecordHeader &to = *img.record(r.toRecord).hdr;
+        links.emplace(from.entryPc, from.kind, r.exitSlot, r.targetPc,
+                      to.entryPc, to.kind);
+    }
+    return links;
+}
+
 /** Field-by-field Uop equality, the precise-state tag included. */
 bool
 sameUop(const uops::Uop &a, const uops::Uop &b)
@@ -208,8 +228,9 @@ sameUop(const uops::Uop &a, const uops::Uop &b)
 TEST(Image, RoundTripFieldEquality)
 {
     // Every record of a captured image carries its live translation's
-    // fields, chains and body exactly -- under each cold tier, whose
-    // translators set codeBytes independently of the image.
+    // fields and body exactly, and the relocations carry its chains --
+    // under each cold tier, whose translators set codeBytes
+    // independently of the image.
     for (const char *name : {"vm.soft", "vm.soft.tmpl", "vm.be"}) {
         SCOPED_TRACE(name);
         vmm::VmmConfig cfg = *engine::EngineConfig::byName(name);
@@ -219,8 +240,16 @@ TEST(Image, RoundTripFieldEquality)
         dbt::TransImage img = adopted(blob);
         dbt::TranslationMap &map = p.vm->translations();
 
-        std::size_t live = 0;
-        map.forEach([&live](const dbt::Translation &) { ++live; });
+        // The image keeps no instruction count: a warm install takes
+        // it from the pc table, so every translator must push exactly
+        // one pc per instruction it counts.
+        std::size_t live = 0, links = 0;
+        map.forEach([&](const dbt::Translation &t) {
+            ++live;
+            EXPECT_EQ(t.numX86Insns, t.pcSpan().size()) << t.entryPc;
+            for (const dbt::Translation::Chain &ch : t.chains)
+                links += map.resolve(ch.to) != nullptr;
+        });
         ASSERT_GT(img.recordCount(), 0u);
         ASSERT_EQ(img.recordCount(), live);
         ASSERT_GT(img.pageListCount(), 0u);
@@ -231,7 +260,7 @@ TEST(Image, RoundTripFieldEquality)
             const dbt::Translation *t = map.lookup(
                 h.entryPc, static_cast<dbt::TransKind>(h.kind));
             ASSERT_NE(t, nullptr) << i;
-            EXPECT_EQ(h.numX86Insns, t->numX86Insns) << i;
+            EXPECT_EQ(h.nPcs, t->numX86Insns) << i;
             EXPECT_EQ(h.x86Bytes, t->x86Bytes) << i;
             EXPECT_EQ(h.fallthroughPc, t->fallthroughPc) << i;
             EXPECT_EQ(bool(h.flags & dbt::IMG_F_COMPLEX),
@@ -249,8 +278,6 @@ TEST(Image, RoundTripFieldEquality)
             EXPECT_EQ(h.condBranchTarget, t->condBranchTarget) << i;
             EXPECT_EQ(h.condBranchPc, t->condBranchPc) << i;
             EXPECT_EQ(h.execCount, t->execCount) << i;
-            EXPECT_EQ(h.takenCount, t->takenCount) << i;
-            EXPECT_EQ(h.notTakenCount, t->notTakenCount) << i;
             EXPECT_EQ(h.codeBytes, t->codeBytes) << i;
             // The image trusts the translator's arena size: it must be
             // the encoded size of the body it carries.
@@ -265,22 +292,27 @@ TEST(Image, RoundTripFieldEquality)
             for (std::size_t u = 0; u < code.size(); ++u)
                 EXPECT_TRUE(sameUop(v.uops[u], code[u]))
                     << i << " uop " << u;
+        }
 
-            // Chains point at the record of the live successor.
-            for (unsigned c = 0; c < 2; ++c) {
-                const dbt::Translation *to = map.resolve(t->chains[c].to);
-                if (!to) {
-                    EXPECT_EQ(h.chainRecord[c], dbt::NO_RECORD) << i;
-                    continue;
-                }
-                ASSERT_LT(h.chainRecord[c], img.recordCount()) << i;
-                const dbt::ImageRecordHeader &th =
-                    *img.record(h.chainRecord[c]).hdr;
-                EXPECT_EQ(th.entryPc, to->entryPc) << i;
-                EXPECT_EQ(th.kind, to->kind == dbt::TransKind::Superblock)
-                    << i;
-                EXPECT_EQ(h.chainTargetPc[c], t->chains[c].targetPc) << i;
-            }
+        // One relocation per live chain, each from a distinct exit
+        // slot to the record of the live successor.
+        EXPECT_EQ(img.relocs().size(), links);
+        std::set<std::pair<u32, u32>> exits;
+        for (const dbt::ImageReloc &r : img.relocs()) {
+            EXPECT_TRUE(exits.emplace(r.fromRecord, r.exitSlot).second)
+                << r.fromRecord;
+            const dbt::ImageRecordHeader &fh = *img.record(r.fromRecord).hdr;
+            const dbt::Translation *from = map.lookup(
+                fh.entryPc, static_cast<dbt::TransKind>(fh.kind));
+            ASSERT_NE(from, nullptr) << r.fromRecord;
+            const dbt::Translation::Chain &ch = from->chains[r.exitSlot];
+            const dbt::Translation *to = map.resolve(ch.to);
+            ASSERT_NE(to, nullptr) << r.fromRecord;
+            EXPECT_EQ(r.targetPc, ch.targetPc) << r.fromRecord;
+            const dbt::ImageRecordHeader &th = *img.record(r.toRecord).hdr;
+            EXPECT_EQ(th.entryPc, to->entryPc) << r.fromRecord;
+            EXPECT_EQ(th.kind, to->kind == dbt::TransKind::Superblock)
+                << r.fromRecord;
         }
 
         // Adopting the same bytes twice yields the same image.
@@ -355,13 +387,6 @@ TEST(Image, HeaderAndSectionSanity)
                 << k;
         }
     }
-    // The dedupe index is sorted (binary-searchable).
-    const auto dd = img.dedupeIndex();
-    ASSERT_EQ(dd.size(), img.recordCount());
-    for (std::size_t i = 1; i < dd.size(); ++i)
-        EXPECT_LE(dd[i - 1].key, dd[i].key);
-    for (const dbt::ImageDedupeEntry &e : dd)
-        EXPECT_LT(e.record, img.recordCount());
 }
 
 TEST(Image, HashGoldenValues)
@@ -516,9 +541,9 @@ TEST(Image, BitFlipSweepTyped)
 TEST(Image, FutureVersionsRejected)
 {
     // Any other version is refused before its checksum is looked at:
-    // a future one, and the previous format (v2), which is rebuilt,
-    // never migrated.
-    for (u8 version : {u8{0x7F}, u8{2}}) {
+    // a future one, and the previous formats (v2, v3), which are
+    // rebuilt, never migrated.
+    for (u8 version : {u8{0x7F}, u8{2}, u8{3}}) {
         std::vector<u8> blob = blobOf(capturedImage(testProgram()));
         blob[8] = version; // ImageHeader::version low byte
         dbt::TransImage out;
@@ -628,6 +653,57 @@ TEST(Image, MismatchedPageListFallsBackCold)
     EXPECT_EQ(st.warmInvalidated, 2u);
 }
 
+TEST(Image, OutOfRangeUopFieldFallsBackCold)
+{
+    // A checksum-valid image whose micro-op names an opcode or a
+    // register that does not exist (the executor indexes its register
+    // files with these fields unchecked): that one record falls back
+    // cold, everything else installs, and the run retires exactly as
+    // the interpreter does. One case per checked field of one lea.
+    const workload::Program prog = testProgram();
+    const std::vector<u8> blob = blobOf(capturedImage(prog));
+    const dbt::TransImage img = adopted(blob);
+    const std::span<const uops::Uop> body = img.record(0).uops;
+    const auto lea = std::find_if(body.begin(), body.end(),
+                                  [](const uops::Uop &u) {
+                                      return u.op == uops::UOp::Lea;
+                                  });
+    ASSERT_NE(lea, body.end());
+    const std::size_t at = static_cast<std::size_t>(
+        reinterpret_cast<const u8 *>(&*lea) - img.bytes().data());
+
+    const std::pair<std::size_t, u8> patches[] = {
+        {offsetof(uops::Uop, op), static_cast<u8>(uops::UOp::NUM_UOPS)},
+        {offsetof(uops::Uop, dst), 200},
+        {offsetof(uops::Uop, src1), uops::NUM_UREGS},
+        {offsetof(uops::Uop, src2), 0xFF},
+    };
+    for (const auto &[field, value] : patches) {
+        SCOPED_TRACE(field);
+        std::vector<u8> bad_blob = blob;
+        bad_blob[at + field] = value;
+        reseal(bad_blob);
+        auto bad = std::make_shared<dbt::TransImage>(adopted(bad_blob));
+
+        InstallTarget t(prog);
+        const engine::WarmStartReport rep =
+            engine::warmStartInstall(*bad, t.mem, t.ccm, t.prof);
+        // Stop here if the record installed: running it would write
+        // outside the register file.
+        ASSERT_EQ(rep.invalidated, 1u);
+        EXPECT_EQ(rep.installed, bad->recordCount() - 1);
+
+        x86::Memory mem, ref_mem;
+        vmm::VmmStats st;
+        const RunResult got =
+            runWarm(prog, mem, cfgSoft(),
+                    std::make_shared<dbt::ImageStore>(bad), &st);
+        const RunResult ref = runInterp(prog, ref_mem);
+        EXPECT_TRUE(sameOutcome(prog, ref, ref_mem, got, mem));
+        EXPECT_EQ(st.warmInvalidated, 1u);
+    }
+}
+
 TEST(Image, DedupeAcrossContexts)
 {
     // Two contexts booting the same guest image capture identical
@@ -690,6 +766,43 @@ TEST(Image, MergedImageKeepsConflictingClassesApart)
     EXPECT_GT(repA.invalidated, 0u);
     EXPECT_GE(repB.installed, iB.recordCount());
     EXPECT_GT(repB.invalidated, 0u);
+}
+
+TEST(Image, MergeKeepsChainLinks)
+{
+    // A merge re-binds each part's chain links from its relocations:
+    // every link of every part is in the merged image, and a context
+    // installing its class from the merge re-binds as many links as
+    // from its own capture. Two captures of one program share every
+    // record; two conflicting classes put different code at the same
+    // addresses.
+    const std::pair<u64, u64> cases[] = {{11, 11}, {7, 8}};
+    for (const auto &[seedA, seedB] : cases) {
+        SCOPED_TRACE(seedB);
+        const workload::Program progA = testProgram(seedA);
+        const dbt::TransImage iA = capturedImage(progA);
+        const dbt::TransImage iB = capturedImage(testProgram(seedB));
+        dbt::ImageBuilder b;
+        b.add(iA);
+        b.add(iB);
+        const dbt::TransImage merged = adopted(b.build());
+
+        const std::set<Link> links = linksOf(merged);
+        EXPECT_EQ(links.size(), merged.relocs().size());
+        for (const dbt::TransImage *part : {&iA, &iB}) {
+            ASSERT_FALSE(part->relocs().empty());
+            for (const Link &l : linksOf(*part))
+                EXPECT_EQ(links.count(l), 1u) << std::get<0>(l);
+        }
+
+        InstallTarget own(progA), shared(progA);
+        const engine::WarmStartReport a =
+            engine::warmStartInstall(iA, own.mem, own.ccm, own.prof);
+        const engine::WarmStartReport m = engine::warmStartInstall(
+            merged, shared.mem, shared.ccm, shared.prof);
+        EXPECT_GT(a.relocations, 0u);
+        EXPECT_EQ(m.relocations, a.relocations);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -103,34 +103,42 @@ TEST(Vmm, PreciseStateOnDivideFault)
 
 TEST(Vmm, CodeCacheArenaIsNotGuestVisible)
 {
-    // The code-cache arenas are address reservations: installing a
-    // translation writes nothing into guest memory. Store a word
-    // inside the BBT arena, run 400 fresh blocks (their reservations
-    // pass it), and load it back.
-    const MemRef probe{REG_NONE, REG_NONE, 1,
+    // Translator state lives in concealed memory: installing a
+    // translation writes nothing into guest memory (the code-cache
+    // arenas are address reservations), and neither does the XLTx86
+    // HAloop's STF. Store a word inside the BBT arena and one at the
+    // address the HAloop once wrote through, run 400 fresh blocks, and
+    // load both back.
+    const MemRef arena{REG_NONE, REG_NONE, 1,
                        static_cast<i32>(0xe0000400u)};
+    const MemRef haloop{REG_NONE, REG_NONE, 1,
+                        static_cast<i32>(0xf8000000u)};
     Assembler as(0x1000);
-    as.movMI(probe, 0x12345678);
+    as.movMI(arena, 0x12345678);
+    as.movMI(haloop, 0x9abcdef0);
     for (int i = 0; i < 400; ++i) {
         auto next = as.newLabel();
         as.aluRI(Op::Add, EAX, i);
         as.jmp(next);
         as.bind(next);
     }
-    as.movRM(EBX, probe);
+    as.movRM(EBX, arena);
+    as.movRM(ESI, haloop);
     as.hlt();
     workload::Program prog = test::snippetProgram(as);
 
     x86::Memory ref_mem;
     test::RunResult ref = test::runInterp(prog, ref_mem);
     ASSERT_EQ(ref.cpu.regs[EBX], 0x12345678u);
+    ASSERT_EQ(ref.cpu.regs[ESI], 0x9abcdef0u);
 
-    for (const char *name :
-         {"vm.soft", "vm.soft.tmpl", "vm.be", "vm.soft.async"}) {
+    for (const char *name : {"vm.soft", "vm.soft.tmpl", "vm.be", "vm.dual",
+                             "vm.soft.async", "vm.be.async"}) {
         x86::Memory mem;
         test::RunResult got =
             test::runVmm(prog, mem, *engine::EngineConfig::byName(name));
         EXPECT_EQ(got.cpu.regs[EBX], 0x12345678u) << name;
+        EXPECT_EQ(got.cpu.regs[ESI], 0x9abcdef0u) << name;
         EXPECT_TRUE(test::sameOutcome(prog, ref, ref_mem, got, mem))
             << name;
     }
