@@ -410,7 +410,7 @@ main(int argc, char **argv)
     }
     if (cfg.asyncTranslators > 0) {
         std::printf("  async SBT requests:     %llu (%llu installed, "
-                    "%llu stale, %llu queue-full)\n",
+                    "%llu stale, %llu rejected)\n",
                     static_cast<unsigned long long>(st.asyncSbtRequests),
                     static_cast<unsigned long long>(st.asyncSbtInstalls),
                     static_cast<unsigned long long>(

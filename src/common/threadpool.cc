@@ -30,10 +30,8 @@ ThreadPool::trySubmit(Task t)
 {
     {
         std::lock_guard<std::mutex> lk(mu);
-        if (queue.size() >= cap) {
-            nRejected.fetch_add(1, std::memory_order_relaxed);
+        if (queue.size() >= cap)
             return false;
-        }
         queue.push_back(std::move(t));
     }
     cvWork.notify_one();

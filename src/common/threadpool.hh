@@ -18,7 +18,6 @@
 #ifndef CDVM_COMMON_THREADPOOL_HH
 #define CDVM_COMMON_THREADPOOL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -69,12 +68,6 @@ class ThreadPool
 
     /** Tasks fully executed so far. */
     u64 executed() const;
-    /** trySubmit calls rejected because the queue was full. */
-    u64
-    rejectedFull() const
-    {
-        return nRejected.load(std::memory_order_relaxed);
-    }
 
   private:
     void workerLoop(unsigned ctx);
@@ -89,7 +82,6 @@ class ThreadPool
     unsigned active = 0; //!< workers currently running a task
     bool stopping = false;
     u64 nExecuted = 0;
-    std::atomic<u64> nRejected{0};
 
     std::vector<std::thread> threads;
 };

@@ -16,42 +16,38 @@
  *    emulation thread; the Vmm forms the SuperblockTrace at detection
  *    time and hands the workers a self-contained value. Workers never
  *    touch guest-visible state.
+ *  - *Book a deadline.* Each request is booked on cfg.asyncTranslators
+ *    virtual contexts with the timing model's rule (AsyncContexts),
+ *    on the retired-instruction clock.
  *  - *Optimize on a worker.* Each worker context owns a private
- *    SuperblockTranslator (crack + dead-flag elimination + fusion),
- *    so the expensive optimization runs unsynchronized.
- *  - *Install on the dispatch thread.* Finished translations land in
- *    a completion queue; the Vmm drains it at dispatch points and
- *    performs the publish (code-cache allocate + encode + map insert)
- *    itself, then chains lazily as usual (publish-then-chain). A
- *    code-cache flush between request and install therefore never
- *    races an install -- the drain sees the post-flush world and
- *    drops results that became stale (a superblock already republished
- *    at that seed).
+ *    SuperblockTranslator, so the expensive optimization runs
+ *    unsynchronized; the result goes to the request's own slot.
+ *  - *Install on the dispatch thread at the deadline.* The Vmm pops
+ *    due requests at dispatch points, waiting for a worker that has
+ *    not finished, and publishes the superblock itself. A code-cache
+ *    flush therefore never races an install, and results that became
+ *    stale (a superblock already published at that seed) are dropped.
  *
- * Back-pressure: the request queue is bounded; when it is full the
- *  request is dropped and the seed stays cold until a later detection
- *  re-requests it.
- * Determinism: with barrier() after every request (EngineConfig
- *  asyncDeterministic), installs happen at the exact point the
- *  synchronous SBT would translate, so the engine's StageEvent stream
- *  is identical retire-for-retire to the synchronous pipeline.
+ * Back-pressure: a request is rejected while asyncQueueCap of this
+ *  engine's requests are pending, and the seed stays cold until a
+ *  later detection. A full host queue never drops a request: the
+ *  dispatch thread optimizes it itself, at the same deadline. Host
+ *  timing decides only how long the dispatch thread waits, so an
+ *  async run repeats event for event.
  */
 
 #ifndef CDVM_ENGINE_ASYNC_SBT_HH
 #define CDVM_ENGINE_ASYNC_SBT_HH
 
-#include <atomic>
-#include <deque>
+#include <future>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/threadpool.hh"
 #include "dbt/sbt.hh"
 #include "dbt/superblock.hh"
+#include "engine/async_contexts.hh"
 #include "engine/engine_config.hh"
 
 namespace cdvm
@@ -66,132 +62,100 @@ namespace cdvm::engine
 struct AsyncSbtResult
 {
     Addr seed = 0;
-    u64 ticket = 0; //!< submission order (0-based)
     /** The optimized superblock; null when the optimizer declined. */
     std::unique_ptr<dbt::Translation> trans;
-    /**
-     * Host-side latency timestamps (steady-clock ns). Stamped on the
-     * dispatch thread at enqueue, on the worker around the
-     * optimization, and consumed on the dispatch thread at drain --
-     * they travel through the locked completion queue, so no cross-
-     * thread access is unsynchronized.
-     */
-    u64 enqueueNs = 0;
+    /** Host steady-clock ns around the optimization (telemetry). */
     u64 optStartNs = 0;
     u64 optEndNs = 0;
 };
 
-/** Background superblock-optimization contexts + completion queue. */
+/** Background superblock-optimization contexts. */
 class AsyncSbtEngine
 {
   public:
     /**
-     * Spin up cfg.asyncTranslators worker contexts behind a queue of
-     * cfg.asyncQueueCap requests; each context gets its own
+     * Spin up cfg.asyncTranslators worker contexts, each with its own
      * SuperblockTranslator configured like the synchronous SBT's.
-     *
      * With shared_pool, no threads are spawned: requests go to the
-     * caller-owned pool (a multi-tenant server runs every tenant's
-     * optimizations on one fleet-wide pool), and one private
-     * translator per *pool worker* keeps optimization unsynchronized.
-     * Completion queue, in-flight set, and latency accounting stay
-     * per-engine, so results never cross tenants. The shared pool
-     * must outlive this engine.
+     * caller-owned pool (one fleet-wide pool for every tenant), with
+     * one private translator per pool worker. Bookings, result slots
+     * and latency accounting stay per-engine, so results never cross
+     * tenants. The shared pool must outlive this engine.
      */
     explicit AsyncSbtEngine(const EngineConfig &cfg,
                             ThreadPool *shared_pool = nullptr);
 
-    /**
-     * Waits for in-flight work, then stops (or, when shared, merely
-     * quiesces) the contexts. The drain covers the whole pool: on a
-     * shared pool this may also wait out other tenants' work, which
-     * is the conservative way to guarantee no worker still references
-     * this engine's translators.
-     */
-    ~AsyncSbtEngine() { pool->drain(); }
+    /** Waits for this engine's requests still on the workers. */
+    ~AsyncSbtEngine() { barrier(); }
+
+    // The request/install side runs on the dispatch thread only.
+
+    /** True when the seed has been requested and not popped yet. */
+    bool pending(Addr seed) const;
 
     /**
-     * True when the seed has been requested and its result has not
-     * been drained yet (dispatch thread only).
+     * Book a formed trace requested at retired count now and hand it
+     * to a worker. Returns false (back-pressure: the caller leaves the
+     * seed cold) when asyncQueueCap requests are already pending.
      */
-    bool pending(Addr seed) const { return inFlight.count(seed) > 0; }
+    bool request(Addr seed, dbt::SuperblockTrace trace, u64 now);
 
-    /**
-     * Enqueue a formed trace for background optimization (dispatch
-     * thread only). Returns false when the queue is full; the caller
-     * treats that as back-pressure and leaves the seed cold.
-     */
-    bool request(Addr seed, dbt::SuperblockTrace trace);
+    /** True when a request is due at retired count now. */
+    bool due(u64 now) const { return ctxs.due(static_cast<double>(now)); }
 
-    /**
-     * Pop one finished result, if any (dispatch thread only). Cheap
-     * when the completion queue is empty: one relaxed atomic load.
-     */
-    std::optional<AsyncSbtResult> tryPop();
+    /** Pop the earliest-due request, waiting for its worker. */
+    AsyncSbtResult pop();
 
-    /** Wait until every requested optimization has completed. */
-    void barrier() { pool->drain(); }
+    /** Wait until every pending request's optimization has finished. */
+    void barrier() const;
 
-    unsigned contexts() const { return pool->workers(); }
-    u64 submitted() const { return nSubmitted; }
-    /** This engine's requests dropped by queue back-pressure. */
-    u64 rejected() const { return nRejected; }
-    /** This engine's optimizations completed by workers. */
-    u64
-    completed() const
-    {
-        return nCompleted.load(std::memory_order_relaxed);
-    }
+    /** Pops that had to wait for their worker. */
+    u64 waits() const { return nWaits; }
     /** True when the pool is caller-owned (fleet mode). */
     bool sharedPool() const { return !ownedPool; }
 
-    // Aggregate translator activity across all contexts.
-    u64 superblocksTranslated() const;
-    u64 insnsTranslated() const;
-    u64 totalUopsEmitted() const;
-    u64 totalPairsFused() const;
-
-    // Per-job pipeline latency, accumulated at drain time (dispatch
-    // thread only): enqueue -> optimize start (queue wait), optimize
-    // start -> end (worker occupancy), optimize end -> drain (done-
-    // queue wait), and enqueue -> drain (end to end).
+    // Per-job pipeline latency, accumulated at pop time (dispatch
+    // thread only): request -> optimize start (queue wait), optimize
+    // start -> end (worker occupancy), optimize end -> install
+    // (deadline wait), and request -> install (end to end).
     const LogHistogram &queueLatency() const { return latQueue; }
     const LogHistogram &optimizeLatency() const { return latOptimize; }
     const LogHistogram &drainLatency() const { return latDrain; }
     const LogHistogram &totalLatency() const { return latTotal; }
 
-    /**
-     * Publish dbt.sbt.*-shaped aggregates plus engine.async.* queue
-     * counters. Call only when the contexts are quiescent (after
-     * run(); the Vmm barriers before exporting).
-     */
+    /** Publish dbt.sbt.*-shaped aggregates plus engine.async.*
+     *  counters. Call after barrier(). */
     void exportStats(StatRegistry &reg,
                      const std::string &sbt_prefix) const;
 
   private:
-    void pushDone(AsyncSbtResult r);
+    /** One booked request: its seed and its worker's result slot. */
+    struct Request
+    {
+        Addr seed = 0;
+        u64 enqueueNs = 0;
+        std::future<AsyncSbtResult> result;
+    };
 
     /** Private pool (classic single-tenant mode); null when shared. */
     std::unique_ptr<ThreadPool> ownedPool;
     /** The pool in use: &*ownedPool or the caller's shared pool. */
     ThreadPool *pool;
-    /** One private translator per worker context (index = ctx). */
+    /**
+     * One private translator per worker context (index = ctx), plus
+     * one for the dispatch thread when the host queue is full.
+     */
     std::vector<dbt::SuperblockTranslator> translators;
 
-    /** Seeds requested and not yet drained (dispatch thread only). */
-    std::unordered_set<Addr> inFlight;
-    u64 nSubmitted = 0;
-    u64 nRejected = 0;
-    /** Jobs finished by workers (relaxed; exact once quiescent). */
-    std::atomic<u64> nCompleted{0};
+    std::size_t queueCap;
+    /** The virtual contexts and the requests booked on them. */
+    AsyncContexts<Request> ctxs;
+    /** Requests the dispatch thread optimized (host queue full). */
+    u64 nInline = 0;
+    u64 nWaits = 0;
+    u64 nWaitNs = 0;
 
-    std::mutex doneMu;
-    std::deque<AsyncSbtResult> done;
-    /** Fast empty-check so the dispatch loop's poll is one load. */
-    std::atomic<u64> doneCount{0};
-
-    // Latency histograms (ns, power-of-two buckets), dispatch thread
-    // only: tryPop records them after taking the lock.
+    // Latency histograms (ns, power-of-two buckets).
     LogHistogram latQueue{2.0, 40};
     LogHistogram latOptimize{2.0, 40};
     LogHistogram latDrain{2.0, 40};

@@ -95,19 +95,14 @@ struct EngineConfig
      * Background translator contexts for the SBT (0 = synchronous:
      * hot seeds are optimized on the emulation thread, as the paper
      * models). With N >= 1, hot seeds are formed on the dispatch
-     * thread, optimized on a worker, and installed at a later
-     * dispatch point while cold/BBT execution continues.
+     * thread, optimized on a worker, and installed at the deadline
+     * the timing model books on N contexts while cold/BBT execution
+     * continues.
      */
     unsigned asyncTranslators = 0;
-    /** Bound on queued optimization requests (back-pressure). */
+    /** Bound on one engine's pending optimization requests; a request
+     *  past it is rejected (back-pressure). */
     std::size_t asyncQueueCap = 64;
-    /**
-     * Deterministic async mode: barrier-on-install. Every request is
-     * awaited and installed immediately, so the StageEvent stream is
-     * identical retire-for-retire to the synchronous pipeline while
-     * still crossing the worker threads (differential/TSan testing).
-     */
-    bool asyncDeterministic = false;
 
     // --- persistent warm start --------------------------------------
     /**
@@ -203,7 +198,7 @@ struct EngineStats
     u64 asyncSbtRequests = 0;     //!< traces handed to the workers
     u64 asyncSbtInstalls = 0;     //!< background results installed
     u64 asyncSbtStaleDropped = 0; //!< results dropped as stale
-    u64 asyncSbtQueueRejects = 0; //!< requests dropped (queue full)
+    u64 asyncSbtQueueRejects = 0; //!< requests rejected (too many pending)
     // Persistent warm start.
     u64 warmLoaded = 0;         //!< records in the warm image
     u64 warmInstalled = 0;      //!< translations installed pre-dispatch
@@ -221,6 +216,8 @@ struct EngineStats
     {
         return insnsInterp + insnsX86Mode + insnsBbtCode + insnsSbtCode;
     }
+
+    bool operator==(const EngineStats &) const = default;
 };
 
 } // namespace cdvm::engine

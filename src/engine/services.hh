@@ -12,10 +12,9 @@
  *
  *  - SharedServices::sbtPool -- one bounded ThreadPool whose worker
  *    contexts serve every tenant's background SBT requests. Each
- *    Vmm's AsyncSbtEngine keeps its own completion queue and
- *    in-flight set, so results can never cross tenants; only the
- *    workers and the request queue (and therefore the back-pressure)
- *    are shared.
+ *    Vmm's AsyncSbtEngine keeps its own bookings, deadlines and
+ *    result slots, so results can never cross tenants; only the
+ *    workers and the host queue are shared.
  *  - SharedServices::imageEndpoint -- the one warm-start source. Every
  *    context warm-starting from it installs views into the same
  *    verified image: the image is mapped and checksummed once per

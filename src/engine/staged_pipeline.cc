@@ -12,7 +12,8 @@ StagedPipeline::StagedPipeline(
     const std::vector<BlockInfo> &block_infos,
     const StagedParams &params, EventStream &event_stream)
     : blocks(block_infos), p(params), events(event_stream),
-      st(blocks.size()), bbtNext(p.bbtBase), sbtNext(p.sbtBase)
+      st(blocks.size()), bbtNext(p.bbtBase), sbtNext(p.sbtBase),
+      async(p.asyncTranslators, p.asyncLatencyPerInsn)
 {
     const u32 num_regions =
         blocks.empty() ? 0 : blocks.back().region + 1;
@@ -24,7 +25,6 @@ StagedPipeline::StagedPipeline(
         regionFirst[r] = std::min(regionFirst[r], i);
         regionLast[r] = std::max(regionLast[r], i);
     }
-    ctxFreeAt.assign(p.asyncTranslators, 0.0);
 
     // Warm start: install the whole image before the first dispatched
     // instruction. Each block is installed up front and skips the
@@ -85,39 +85,13 @@ StagedPipeline::optimizeRegion(u32 region, bool background)
 void
 StagedPipeline::requestAsync(u32 region)
 {
-    RegionState &rs = regions[region];
-    rs.inFlight = true;
-
+    regions[region].inFlight = true;
     u32 region_insns = 0;
     for (u32 i = regionFirst[region]; i <= regionLast[region]; ++i)
         region_insns += blocks[i].insns;
-
-    // Occupancy: the request starts when the least-loaded context
-    // frees up; the emulation thread never waits.
-    std::size_t ctx = 0;
-    for (std::size_t i = 1; i < ctxFreeAt.size(); ++i)
-        if (ctxFreeAt[i] < ctxFreeAt[ctx])
-            ctx = i;
-    const double start = std::max(ctxFreeAt[ctx], insnsSoFar);
-    const double ready =
-        start + static_cast<double>(region_insns) *
-                    p.asyncLatencyPerInsn;
-    ctxFreeAt[ctx] = ready;
-    jobs.push_back(AsyncJob{region, ready});
-}
-
-void
-StagedPipeline::completeAsyncJobs()
-{
-    for (std::size_t i = 0; i < jobs.size();) {
-        if (jobs[i].readyAt <= insnsSoFar) {
-            optimizeRegion(jobs[i].region, true);
-            jobs[i] = jobs.back();
-            jobs.pop_back();
-        } else {
-            ++i;
-        }
-    }
+    // The emulation thread never waits; the region installs when its
+    // booked context has spent the latency on it.
+    async.book(insnsSoFar, region_insns, region);
 }
 
 void
@@ -125,8 +99,8 @@ StagedPipeline::touch(u32 id)
 {
     // Background optimizations whose latency elapsed install first,
     // so this touch sees the post-install staging state.
-    if (!jobs.empty())
-        completeAsyncJobs();
+    while (async.due(insnsSoFar))
+        optimizeRegion(async.pop(), true);
 
     const BlockInfo &b = blocks[id];
     BlockState &bs = st[id];

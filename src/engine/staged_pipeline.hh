@@ -22,6 +22,7 @@
 
 #include <vector>
 
+#include "engine/async_contexts.hh"
 #include "engine/events.hh"
 #include "workload/trace_gen.hh"
 
@@ -58,8 +59,8 @@ struct StagedParams
      * emulation thread, exactly the paper's model). With N >= 1 a hot
      * region keeps executing in its pre-hot mode while one of N
      * contexts optimizes it; the SbtOptimize event is emitted (with
-     * background set) when the optimization completes, and only then
-     * does the region switch to SbtExec.
+     * background set) when the optimization is due (AsyncContexts),
+     * and only then does the region switch to SbtExec.
      */
     unsigned asyncTranslators = 0;
     /**
@@ -85,9 +86,7 @@ class StagedPipeline
   private:
     /** Make the region hot: emit SbtOptimize, switch member blocks. */
     void optimizeRegion(u32 region, bool background);
-    /** Complete background jobs whose latency has elapsed. */
-    void completeAsyncJobs();
-    /** Enqueue a region on the least-loaded background context. */
+    /** Book a region on the background contexts. */
     void requestAsync(u32 region);
     struct BlockState
     {
@@ -106,14 +105,6 @@ class StagedPipeline
         u32 sbtBytes = 0;
     };
 
-    /** One outstanding background optimization. */
-    struct AsyncJob
-    {
-        u32 region = 0;
-        /** Completes when insnsSoFar reaches this. */
-        double readyAt = 0.0;
-    };
-
     const std::vector<workload::BlockInfo> &blocks;
     StagedParams p;
     EventStream &events;
@@ -128,13 +119,10 @@ class StagedPipeline
     Addr bbtNext;
     Addr sbtNext;
 
-    // --- async overlap model (asyncTranslators > 0 only) ------------
     /** Executed instructions so far: the pipeline's clock. */
     double insnsSoFar = 0.0;
-    /** Per-context busy-until, in executed-instruction units. */
-    std::vector<double> ctxFreeAt;
-    /** Outstanding background optimizations (small). */
-    std::vector<AsyncJob> jobs;
+    /** Regions booked for background optimization. */
+    AsyncContexts<u32> async;
 };
 
 } // namespace cdvm::engine

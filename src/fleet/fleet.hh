@@ -24,8 +24,9 @@
  *    caches after folding its stats into ctx.<id>.* subtrees.
  *
  * Determinism: everything (workload generation, arrival times,
- * scheduling, the virtual clock) derives from FleetConfig alone.
- * Host wall-clock appears only in the reported aggregate MIPS.
+ * scheduling, async SBT installs, the virtual clock) derives from
+ * FleetConfig alone, with or without a shared SBT pool. Host
+ * wall-clock appears only in the reported aggregate MIPS.
  */
 
 #ifndef CDVM_FLEET_FLEET_HH
@@ -132,7 +133,8 @@ struct FleetConfig
      *  tenant optimizes synchronously; tenant asyncTranslators are
      *  overridden to match). */
     unsigned sharedPoolWorkers = 0;
-    /** Bound on queued optimization requests in the shared pool. */
+    /** Bound on queued optimization requests in the shared pool,
+     *  and on each tenant's pending requests. */
     std::size_t sharedPoolQueueCap = 256;
 
     /** Workload shape template; seed is overridden per class. */

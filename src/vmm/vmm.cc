@@ -200,7 +200,8 @@ Vmm::bbb() const
 }
 
 void
-Vmm::installSbt(Addr seed_pc, std::unique_ptr<Translation> t)
+Vmm::installSbt(Addr seed_pc, std::unique_ptr<Translation> t,
+                bool background)
 {
     ++st.sbtTranslations;
     st.sbtInsnsTranslated += t->numX86Insns;
@@ -212,6 +213,7 @@ Vmm::installSbt(Addr seed_pc, std::unique_ptr<Translation> t)
     e.insns = t->numX86Insns;
     e.x86Addr = seed_pc;
     e.x86Bytes = t->x86Bytes;
+    e.background = background;
     e.arg = seed_pc;
     events.emit(e);
 
@@ -233,7 +235,7 @@ Vmm::invokeSbt(Addr seed_pc)
     if (asyncSbt) {
         // Async pipeline: form here (guest memory and the branch
         // profile belong to this thread), optimize on a worker,
-        // install at a later dispatch point.
+        // install at the booked deadline.
         std::optional<dbt::SuperblockTrace> trace =
             sbtBackend.form(seed_pc);
         if (!trace) {
@@ -241,19 +243,14 @@ Vmm::invokeSbt(Addr seed_pc)
             ++st.sbtFormationFailures;
             return;
         }
-        if (!asyncSbt->request(seed_pc, std::move(*trace))) {
-            // Queue full: leave the seed cold; a later detection
-            // re-requests it once the workers catch up.
+        if (!asyncSbt->request(seed_pc, std::move(*trace),
+                               st.totalRetired())) {
+            // Too many pending: leave the seed cold; a later
+            // detection re-requests it once installs catch up.
             ++st.asyncSbtQueueRejects;
             return;
         }
         ++st.asyncSbtRequests;
-        if (cfg.asyncDeterministic) {
-            // Barrier-on-install: retire-for-retire identical to the
-            // synchronous pipeline, still crossing worker threads.
-            asyncSbt->barrier();
-            drainAsyncSbt();
-        }
         return;
     }
 
@@ -265,28 +262,29 @@ Vmm::invokeSbt(Addr seed_pc)
         ++st.sbtFormationFailures;
         return;
     }
-    installSbt(seed_pc, std::move(t));
+    installSbt(seed_pc, std::move(t), false);
 }
 
 void
 Vmm::drainAsyncSbt()
 {
-    while (std::optional<engine::AsyncSbtResult> r =
-               asyncSbt->tryPop()) {
-        if (!r->trans) {
+    const u64 now = st.totalRetired();
+    while (asyncSbt->due(now)) {
+        engine::AsyncSbtResult r = asyncSbt->pop();
+        if (!r.trans) {
             // The optimizer declined the formed trace.
-            sbtFailed.insert(r->seed);
+            sbtFailed.insert(r.seed);
             ++st.sbtFormationFailures;
             continue;
         }
         // Stale results: a superblock already covers this seed (the
         // seed was re-requested and installed across an arena flush).
-        if (ccm.lookup(r->seed, TransKind::Superblock)) {
+        if (ccm.lookup(r.seed, TransKind::Superblock)) {
             ++st.asyncSbtStaleDropped;
             continue;
         }
         ++st.asyncSbtInstalls;
-        installSbt(r->seed, std::move(r->trans));
+        installSbt(r.seed, std::move(r.trans), true);
     }
 }
 
@@ -329,8 +327,8 @@ Vmm::runLoop(x86::CpuState &cpu, InstCount max_insns)
     while (retired < max_insns) {
         const Addr pc = cpu.eip;
 
-        // Install any optimizations the background contexts finished
-        // (one relaxed load when there is nothing to do).
+        // Install the background optimizations that are due (one
+        // compare when there is nothing to do).
         if (asyncSbt)
             drainAsyncSbt();
 
@@ -617,7 +615,7 @@ Vmm::exportStats(StatRegistry &reg) const
     cold->exportStats(reg);
     if (asyncSbt) {
         // The background contexts did the optimizing; publish their
-        // aggregated dbt.sbt.* view (they are quiescent after run()).
+        // aggregated dbt.sbt.* view once pending requests finish.
         asyncSbt->barrier();
         asyncSbt->exportStats(reg, "dbt.sbt");
     } else {

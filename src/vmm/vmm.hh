@@ -205,9 +205,9 @@ class Vmm
     void dumpFlightOnAbnormal(x86::Exit e) const;
     void invokeSbt(Addr seed_pc);
     /** Emit the SbtOptimize event and publish the superblock. */
-    void installSbt(Addr seed_pc,
-                    std::unique_ptr<dbt::Translation> t);
-    /** Install finished background optimizations (dispatch points). */
+    void installSbt(Addr seed_pc, std::unique_ptr<dbt::Translation> t,
+                    bool background);
+    /** Install the background optimizations that are due. */
     void drainAsyncSbt();
 
     x86::Memory &mem;

@@ -89,11 +89,10 @@ cfgDual()
 }
 
 vmm::VmmConfig
-cfgSoftAsync(bool deterministic)
+cfgSoftAsync()
 {
     vmm::VmmConfig c = engine::EngineConfig::vmSoftAsync();
     c.hotThreshold = 30;
-    c.asyncDeterministic = deterministic;
     return c;
 }
 
@@ -137,8 +136,7 @@ TEST_P(DifferentialTest, AllStrategiesMatchInterpreter)
         {"vm.fe (x86-mode+BBB)", cfgFrontend()},
         {"vm.be (XLT-assisted BBT)", cfgBackend()},
         {"vm.dual (XLT+BBB)", cfgDual()},
-        {"vm.soft.async", cfgSoftAsync(false)},
-        {"vm.soft.async deterministic", cfgSoftAsync(true)},
+        {"vm.soft.async", cfgSoftAsync()},
         {"vm.be.async", cfgBackendAsync()},
     };
 

@@ -290,9 +290,10 @@ TEST(FleetSeeding, DerivedSeedsAreStableAndDistinct)
 
 TEST(SharedPool, BackPressureLeavesSeedsColdPerContext)
 {
-    // Two tenants over one 1-worker pool with a 1-deep queue: rejects
-    // are expected, counted per engine, and must only degrade the
-    // rejecting context to its cold path -- never corrupt state.
+    // Two tenants over one 1-worker pool with a 1-deep queue, each
+    // allowed one pending request: rejects are expected, counted per
+    // engine, and must only degrade the rejecting context to its cold
+    // path -- never corrupt state.
     workload::Program p0 = workload::generateProgram(smallShape(11));
     workload::Program p1 = workload::generateProgram(smallShape(12));
 
@@ -300,22 +301,31 @@ TEST(SharedPool, BackPressureLeavesSeedsColdPerContext)
     cfg.asyncTranslators = 1;
     cfg.asyncQueueCap = 1;
     cfg.hotThreshold = 50; // request storms
-    ThreadPool pool(1, 1);
-    engine::SharedServices svc;
-    svc.sbtPool = &pool;
-
-    x86::Memory m0, m1;
-    p0.loadInto(m0);
-    p1.loadInto(m1);
-    vmm::Vmm v0(m0, cfg, svc);
-    vmm::Vmm v1(m1, cfg, svc);
-
     const u64 target = 400'000;
-    const x86::CpuState end0 = runToTarget(v0, p0, target);
-    const x86::CpuState end1 = runToTarget(v1, p1, target);
 
-    ASSERT_NE(v0.asyncSbtEngine(), nullptr);
-    EXPECT_TRUE(v0.asyncSbtEngine()->sharedPool());
+    struct Pair
+    {
+        x86::CpuState end0, end1;
+        engine::EngineStats st0, st1;
+    };
+    auto run_pair = [&](Pair &r) {
+        ThreadPool pool(1, 1);
+        engine::SharedServices svc;
+        svc.sbtPool = &pool;
+        x86::Memory m0, m1;
+        p0.loadInto(m0);
+        p1.loadInto(m1);
+        vmm::Vmm v0(m0, cfg, svc);
+        vmm::Vmm v1(m1, cfg, svc);
+        r.end0 = runToTarget(v0, p0, target);
+        r.end1 = runToTarget(v1, p1, target);
+        ASSERT_NE(v0.asyncSbtEngine(), nullptr);
+        EXPECT_TRUE(v0.asyncSbtEngine()->sharedPool());
+        r.st0 = v0.stats();
+        r.st1 = v1.stats();
+    };
+    Pair a, b;
+    run_pair(a);
 
     // Differential reference: the same programs, synchronous.
     engine::EngineConfig sync = cfg;
@@ -328,28 +338,33 @@ TEST(SharedPool, BackPressureLeavesSeedsColdPerContext)
     const x86::CpuState ref0 = runToTarget(w0, p0, target);
     const x86::CpuState ref1 = runToTarget(w1, p1, target);
 
-    EXPECT_EQ(end0.regs, ref0.regs);
-    EXPECT_EQ(end0.eip, ref0.eip);
-    EXPECT_EQ(end1.regs, ref1.regs);
-    EXPECT_EQ(end1.eip, ref1.eip);
-    // Architected retirement truth: both runs end at a HLT of the
-    // same deterministic program, with the work done. (The per-mode
-    // insn counters are NOT compared exactly: which requests the
-    // 1-deep queue rejects depends on host timing, and superblock
-    // side-exit accounting differs from the BBT path, so async-vs-
-    // sync coverage differences legitimately shift totalRetired by a
-    // rerun -- equality here made the test flaky under load.)
-    EXPECT_GE(v0.stats().totalRetired(), target);
+    EXPECT_EQ(a.end0.regs, ref0.regs);
+    EXPECT_EQ(a.end0.eip, ref0.eip);
+    EXPECT_EQ(a.end1.regs, ref1.regs);
+    EXPECT_EQ(a.end1.eip, ref1.eip);
+    // Both runs end at a HLT of the same program with the work done.
+    // Async and sync retire totals may differ by a rerun: superblock
+    // side exits account differently from the BBT path.
+    EXPECT_GE(a.st0.totalRetired(), target);
     EXPECT_GE(w0.stats().totalRetired(), target);
-    EXPECT_GE(v1.stats().totalRetired(), target);
+    EXPECT_GE(a.st1.totalRetired(), target);
     EXPECT_GE(w1.stats().totalRetired(), target);
+    EXPECT_GT(a.st0.asyncSbtQueueRejects + a.st1.asyncSbtQueueRejects,
+              0u);
 
-    // The queue-reject counters are per engine, not pool-global.
-    const u64 rej0 = v0.stats().asyncSbtQueueRejects;
-    const u64 rej1 = v1.stats().asyncSbtQueueRejects;
-    EXPECT_EQ(rej0, v0.asyncSbtEngine()->rejected());
-    EXPECT_EQ(rej1, v1.asyncSbtEngine()->rejected());
-    EXPECT_LE(rej0 + rej1, pool.rejectedFull());
+    // Which requests are rejected is decided by the pending bound on
+    // the retired-instruction clock, not by how fast the one worker
+    // drains its queue: a second run rejects the same requests and
+    // retires the same mix in every mode.
+    run_pair(b);
+    EXPECT_EQ(a.st0.asyncSbtQueueRejects, b.st0.asyncSbtQueueRejects);
+    EXPECT_EQ(a.st1.asyncSbtQueueRejects, b.st1.asyncSbtQueueRejects);
+    EXPECT_EQ(a.st0.insnsBbtCode, b.st0.insnsBbtCode);
+    EXPECT_EQ(a.st0.insnsSbtCode, b.st0.insnsSbtCode);
+    EXPECT_EQ(a.st1.insnsBbtCode, b.st1.insnsBbtCode);
+    EXPECT_EQ(a.st1.insnsSbtCode, b.st1.insnsSbtCode);
+    EXPECT_TRUE(a.st0 == b.st0);
+    EXPECT_TRUE(a.st1 == b.st1);
 }
 
 TEST(SharedPool, ManyProducersOnePool)
@@ -525,29 +540,38 @@ TEST(Fleet, SingleContextMatchesPlainVmm)
 
 TEST(Fleet, DeterministicAcrossRuns)
 {
-    fleet::FleetConfig cfg;
-    cfg.contexts = 6;
-    cfg.workloads = 3;
-    cfg.fleetSeed = 9;
-    cfg.targetInsns = 120'000;
-    cfg.milestoneInsns = 60'000;
-    cfg.arrival = *fleet::ArrivalCurve::parse("poisson:8");
-    cfg.policy = fleet::SchedPolicy::LoadRatio;
-    cfg.workloadParams = smallShape(0);
+    // Synchronous tenants, and tenants over a shared async pool.
+    for (unsigned workers : {0u, 2u}) {
+        SCOPED_TRACE(workers);
+        fleet::FleetConfig cfg;
+        cfg.contexts = 6;
+        cfg.workloads = 3;
+        cfg.fleetSeed = 9;
+        cfg.targetInsns = 120'000;
+        cfg.milestoneInsns = 60'000;
+        cfg.arrival = *fleet::ArrivalCurve::parse("poisson:8");
+        cfg.policy = fleet::SchedPolicy::LoadRatio;
+        cfg.workloadParams = smallShape(0);
+        cfg.sharedPoolWorkers = workers;
 
-    fleet::FleetServer s1(cfg);
-    fleet::FleetServer s2(cfg);
-    const fleet::FleetResult a = s1.run();
-    const fleet::FleetResult b = s2.run();
-    EXPECT_EQ(a.fleetClock, b.fleetClock);
-    EXPECT_EQ(a.totalRetired, b.totalRetired);
-    EXPECT_EQ(a.slices, b.slices);
-    ASSERT_EQ(a.contexts.size(), b.contexts.size());
-    for (std::size_t i = 0; i < a.contexts.size(); ++i) {
-        EXPECT_EQ(a.contexts[i].milestoneClock,
-                  b.contexts[i].milestoneClock);
-        EXPECT_EQ(a.contexts[i].retired, b.contexts[i].retired);
-        EXPECT_TRUE(a.contexts[i].ok);
+        fleet::FleetServer s1(cfg);
+        fleet::FleetServer s2(cfg);
+        const fleet::FleetResult a = s1.run();
+        const fleet::FleetResult b = s2.run();
+        EXPECT_EQ(a.fleetClock, b.fleetClock);
+        EXPECT_EQ(a.totalRetired, b.totalRetired);
+        EXPECT_EQ(a.slices, b.slices);
+        ASSERT_EQ(a.contexts.size(), b.contexts.size());
+        for (std::size_t i = 0; i < a.contexts.size(); ++i) {
+            EXPECT_EQ(a.contexts[i].milestoneClock,
+                      b.contexts[i].milestoneClock);
+            EXPECT_EQ(a.contexts[i].retired, b.contexts[i].retired);
+            EXPECT_EQ(a.contexts[i].sbtTranslations,
+                      b.contexts[i].sbtTranslations);
+            EXPECT_EQ(a.contexts[i].asyncQueueRejects,
+                      b.contexts[i].asyncQueueRejects);
+            EXPECT_TRUE(a.contexts[i].ok);
+        }
     }
 }
 
