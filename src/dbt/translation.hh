@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "uops/exec.hh"
 #include "uops/uop.hh"
 
 namespace cdvm::dbt
@@ -128,9 +129,18 @@ struct Translation
      * the views cannot dangle.
      */
     const uops::Uop *mappedUops = nullptr;
-    u32 mappedUopCount = 0;
     const Addr *mappedPcs = nullptr;
+    u32 mappedUopCount = 0;
     u32 mappedPcCount = 0;
+
+    /**
+     * The body in bound form (uops::bind), or null to run the record
+     * form. The code cache binds every superblock at install; a
+     * mapped body gets an array private to this process, not a copy
+     * of the body, which stays the reference the bound form's
+     * fallback handler and fault reports read.
+     */
+    uops::BoundBody bound;
 
     /** True when the body lives in a mapped warm image. */
     bool mappedBody() const { return mappedUops != nullptr; }
@@ -217,6 +227,9 @@ struct Translation
         chains[1] = Chain{};
     }
 };
+
+static_assert(sizeof(Translation) <= 200,
+              "the bound-form handle must fit the descriptor's padding");
 
 } // namespace cdvm::dbt
 

@@ -1,6 +1,5 @@
 #include "engine/async_sbt.hh"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/statreg.hh"
@@ -60,8 +59,7 @@ AsyncSbtEngine::AsyncSbtEngine(const EngineConfig &cfg,
 bool
 AsyncSbtEngine::pending(Addr seed) const
 {
-    return std::any_of(ctxs.booked().begin(), ctxs.booked().end(),
-                       [seed](const auto &b) { return b.job.seed == seed; });
+    return bookedSeeds.contains(seed);
 }
 
 bool
@@ -89,6 +87,7 @@ AsyncSbtEngine::request(Addr seed, dbt::SuperblockTrace trace, u64 now)
         (*task)(pool->workers());
     }
     ctxs.book(static_cast<double>(now), insns, std::move(rq));
+    bookedSeeds.insert(seed);
     return true;
 }
 
@@ -96,6 +95,7 @@ AsyncSbtResult
 AsyncSbtEngine::pop()
 {
     Request rq = ctxs.pop();
+    bookedSeeds.erase(bookedSeeds.find(rq.seed));
     if (rq.result.wait_for(std::chrono::seconds(0)) !=
         std::future_status::ready) {
         const u64 t0 = nowNs();

@@ -41,6 +41,7 @@
 
 #include <future>
 #include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "common/stats.hh"
@@ -150,6 +151,9 @@ class AsyncSbtEngine
     std::size_t queueCap;
     /** The virtual contexts and the requests booked on them. */
     AsyncContexts<Request> ctxs;
+    /** The seeds of those requests, so pending() is one probe: the
+     *  dispatch thread asks on every entry of a hot block. */
+    std::unordered_multiset<Addr> bookedSeeds;
     /** Requests the dispatch thread optimized (host queue full). */
     u64 nInline = 0;
     u64 nWaits = 0;

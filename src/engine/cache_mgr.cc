@@ -59,6 +59,17 @@ CodeCacheManager::install(std::unique_ptr<Translation> t)
                        t->codeBytes, cc.name().c_str());
     }
     t->codeAddr = at;
+    if (kind == TransKind::Superblock) {
+        // Superblocks are hot by construction: lower each one once,
+        // here, into the bound form. BBT blocks stay in record form,
+        // since a cold block runs too few times to repay lowering.
+        uops::Binding b = uops::bind(t->code(), t->pcSpan());
+        if (b.ops) {
+            boundUops += t->code().size();
+            boundFallbackUops += b.fallbackOps;
+            t->bound = std::move(b.ops);
+        }
+    }
     res.trans = map.insert(std::move(t));
     return res;
 }
@@ -69,6 +80,13 @@ CodeCacheManager::exportStats(StatRegistry &reg) const
     bbtCc.exportStats(reg, "dbt.codecache.bbt");
     sbtCc.exportStats(reg, "dbt.codecache.sbt");
     map.exportStats(reg, "dbt.lookup");
+    reg.set("dbt.sbt.bound_uops", static_cast<double>(boundUops),
+            "superblock micro-ops lowered into bound form at install");
+    reg.set("dbt.sbt.bound_fallback_pct",
+            boundUops ? 100.0 * static_cast<double>(boundFallbackUops) /
+                            static_cast<double>(boundUops)
+                      : 0.0,
+            "share of bound micro-ops on the fallback handler (%)");
 }
 
 } // namespace cdvm::engine

@@ -6,12 +6,15 @@
  * Owns the translation lookup table and both bump-allocated arenas
  * (BBT blocks and SBT superblocks, paper Fig. 1). Installing a
  * translation reserves arena space for its encoded size and publishes
- * it in the map. The arenas are reservations only: the body executes
- * from the Translation itself and is never written into guest memory,
- * but codeAddr/codeBytes feed the timing model and a full arena still
- * forces the classic flush-everything policy: the arena is reset,
- * every translation of that kind is dropped from the map, and all
- * chains into the doomed set are conservatively cleared.
+ * it in the map; installing a superblock also lowers its body into
+ * the executor's bound form (uops::bind), whatever produced it: the
+ * synchronous SBT, an async install or a warm install. The arenas are
+ * reservations only: the body executes from the Translation itself
+ * and is never written into guest memory, but codeAddr/codeBytes feed
+ * the timing model and a full arena still forces the classic
+ * flush-everything policy: the arena is reset, every translation of
+ * that kind is dropped from the map, and all chains into the doomed
+ * set are conservatively cleared.
  */
 
 #ifndef CDVM_ENGINE_CACHE_MGR_HH
@@ -45,8 +48,8 @@ class CodeCacheManager
 
     /**
      * Register a new translation: reserve arena space (flushing on
-     * full) and publish it in the map. Emits a CacheFlush stage event
-     * when eviction happened.
+     * full), bind a superblock's body, and publish it in the map.
+     * Emits a CacheFlush stage event when eviction happened.
      */
     InstallResult install(std::unique_ptr<dbt::Translation> t);
 
@@ -82,6 +85,9 @@ class CodeCacheManager
     dbt::TranslationMap map;
     dbt::CodeCache bbtCc;
     dbt::CodeCache sbtCc;
+
+    u64 boundUops = 0;         //!< superblock micro-ops bound
+    u64 boundFallbackUops = 0; //!< of those, on the fallback handler
 };
 
 } // namespace cdvm::engine

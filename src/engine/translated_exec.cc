@@ -8,44 +8,17 @@ namespace cdvm::engine
 using dbt::TransKind;
 using dbt::Translation;
 
-namespace
-{
-
-/**
- * Position in the region's pc table of the instruction whose micro-op
- * at fault_index faulted. A pc can recur in a superblock (a trace that
- * re-enters a block part-way), so the k-th faulting micro-op of that
- * pc is matched to the pc's k-th table entry: div, idiv and int3 each
- * crack to exactly one faulting micro-op, which no pass removes or
- * moves across another instruction's.
- */
-std::size_t
-faultingInsn(std::span<const uops::Uop> body, std::span<const Addr> pcs,
-             std::size_t fault_index)
-{
-    const uops::Uop &f = body[fault_index];
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < fault_index; ++i)
-        k += body[i].x86pc == f.x86pc && body[i].op == f.op;
-    for (std::size_t i = 0; i < pcs.size(); ++i) {
-        if (pcs[i] == f.x86pc && k-- == 0)
-            return i;
-    }
-    cdvm_panic("faulting micro-op at pc 0x%llx is not in the region's "
-               "pc table",
-               static_cast<unsigned long long>(f.x86pc));
-}
-
-} // namespace
-
 x86::Exit
 TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
                         InstCount &retired)
 {
     const std::span<const uops::Uop> body = t->code();
+    const std::span<const Addr> pcs = t->pcSpan();
     ustate.loadArch(cpu);
     uops::UopExecutor exe(ustate, mem);
-    uops::BlockResult br = exe.run(body, t->fallthroughPc);
+    const uops::BlockResult br =
+        t->bound ? exe.run(t->bound.get(), body, t->fallthroughPc)
+                 : exe.run(body, t->fallthroughPc);
     ustate.storeArch(cpu);
 
     const bool is_sbt = t->kind == TransKind::Superblock;
@@ -58,8 +31,13 @@ TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
         // the interpreter raise the fault. Re-running the region from
         // its entry instead would repeat their stores.
         ++st.preciseStateRecoveries;
-        const u64 done = faultingInsn(
-            body, t->pcSpan(), static_cast<std::size_t>(br.faultIndex));
+        const auto fi = static_cast<std::size_t>(br.faultIndex);
+        const u64 done = t->bound ? t->bound[fi].retire
+                                  : uops::insnIndex(body, pcs, fi);
+        if (done >= pcs.size())
+            cdvm_panic("faulting micro-op at pc 0x%llx is not in the "
+                       "region's pc table",
+                       static_cast<unsigned long long>(br.faultX86Pc));
         retired += done;
         cpu.icount += done;
         if (is_sbt)
@@ -77,20 +55,17 @@ TranslatedExecutor::run(x86::CpuState &cpu, Translation *t,
     }
 
     // Count retired x86 instructions: position of the last completed
-    // instruction within the region.
+    // instruction within the region. A side exit may leave a
+    // superblock early; a bound body carries the count on the exit
+    // op, a record body finds it in the pc table.
     u64 insns = t->numX86Insns;
     if (br.exit == uops::BlockExit::Branch && is_sbt) {
-        // A side exit may leave the superblock early.
-        int last = br.uopsRun > 0
-                       ? static_cast<int>(br.uopsRun) - 1
-                       : 0;
-        const std::span<const Addr> pcs = t->pcSpan();
-        Addr last_pc = body[static_cast<std::size_t>(last)].x86pc;
-        for (std::size_t i = 0; i < pcs.size(); ++i) {
-            if (pcs[i] == last_pc) {
-                insns = i + 1;
-                break;
-            }
+        const std::size_t last = br.uopsRun - 1;
+        if (t->bound) {
+            insns = t->bound[last].retire;
+        } else if (const std::size_t k = uops::insnIndex(body, pcs, last);
+                   k < pcs.size()) {
+            insns = k + 1;
         }
     }
     retired += insns;

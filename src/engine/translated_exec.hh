@@ -2,12 +2,20 @@
  * @file
  * Translated-code execution with precise-state recovery.
  *
- * Runs a translation's micro-ops through the micro-op executor and
- * maps the outcome back to architected x86 state: retired-instruction
- * accounting (including superblock side exits), fault recovery that
- * hands the faulting instruction to the interpreter (paper Fig. 1's
- * "may use interpreter" arc), and branch-direction profiling on the
- * region's terminating branch.
+ * Runs a translation's micro-ops through the micro-op executor -- in
+ * bound form when the code cache bound the body (every installed
+ * superblock), else in record form -- and maps the outcome back to
+ * architected x86 state: retired-instruction accounting (including
+ * superblock side exits), fault recovery that hands the faulting
+ * instruction to the interpreter (paper Fig. 1's "may use
+ * interpreter" arc), and branch-direction profiling on the region's
+ * terminating branch.
+ *
+ * A side exit or fault retires the instructions before its position
+ * in the region's pc table. A bound body carries that count on each
+ * exit op, worked out once at bind time; a record body looks it up
+ * with the same k-th-occurrence rule (uops::insnIndex), since a
+ * superblock that re-enters a block part-way holds some pcs twice.
  */
 
 #ifndef CDVM_ENGINE_TRANSLATED_EXEC_HH

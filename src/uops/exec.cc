@@ -1,6 +1,7 @@
 #include "uops/exec.hh"
 
 #include <cassert>
+#include <cstdint>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
@@ -17,11 +18,10 @@ namespace flags = x86::flags;
 namespace
 {
 
-/** Compute the flags the pending record owes, if any. */
+/** Compute the flags the pending record owes into eflags, if any. */
 inline void
-settleFlags(UState &st)
+settle(u32 &eflags, PendingFlags &p)
 {
-    PendingFlags &p = st.pending;
     if (p.kind == PendingFlags::Kind::None)
         return;
     u32 r;
@@ -30,11 +30,193 @@ settleFlags(UState &st)
                   : p.kind == PendingFlags::Kind::Sub
                       ? flags::sub(p.a, p.b, p.carry, p.size, r)
                       : flags::logic(p.a, p.size);
-    st.eflags = (st.eflags & ~FLAG_ALL) | (f & FLAG_ALL);
+    eflags = (eflags & ~FLAG_ALL) | (f & FLAG_ALL);
     p.kind = PendingFlags::Kind::None;
 }
 
+inline void
+settleFlags(UState &st)
+{
+    settle(st.eflags, st.pending);
+}
+
+/*
+ * The bound form's handler set. Besides End (the marker after the last
+ * op) and Fallback (any form without its own handler: the record runs
+ * through step()), it holds one handler for each micro-op form that
+ * makes up at least 0.5% of the superblock micro-ops executed on the
+ * end-to-end benchmark's hot_loop or boot_storm workload (seed 1).
+ * Names read Op[Src][Size][F]: RR a register second source, RI an
+ * immediate one, operand size 4 unless a digit says otherwise, F for a
+ * flag write; B and BI are the address modes base+disp and
+ * base+index*scale+disp. No specialized handler sees a UREG_NONE
+ * operand: such a form binds to Fallback.
+ */
+#define CDVM_BOUND_HANDLERS(X)                                           \
+    X(End) X(Fallback)                                                   \
+    X(Limm) X(Mov) X(Zext8) X(Ins8) X(InsHi8) X(Ins16)                   \
+    X(AddRR) X(AddRI) X(AddRRF) X(AddRR2) X(SubRI)                       \
+    X(AndRR) X(AndRI) X(OrRR) X(OrRIF) X(XorRR) X(XorRRF)                \
+    X(CmpRR) X(CmpRI) X(IncF) X(DecF) X(Neg) X(ShlRI) X(ShrRI)           \
+    X(ImulRI) X(DivWide) X(Setcc)                                        \
+    X(LdB) X(LdBI) X(StB) X(StBI) X(LeaBI) X(Br)
+
+enum Handler : u8
+{
+#define CDVM_HANDLER_ENUM(name) H_##name,
+    CDVM_BOUND_HANDLERS(CDVM_HANDLER_ENUM)
+#undef CDVM_HANDLER_ENUM
+    NUM_HANDLERS
+};
+
+/** A real register operand (not UREG_NONE, in range). */
+constexpr bool
+reg(u8 r)
+{
+    return r < UREG_NONE;
+}
+
+/** log2 of a memory index scale, or -1 when it is not 1/2/4/8. */
+constexpr int
+scaleLog2(u8 scale)
+{
+    return scale == 1 ? 0 : scale == 2 ? 1 : scale == 4 ? 2
+         : scale == 8 ? 3 : -1;
+}
+
+/** Choose u's handler and resolve its operands into o. */
+Handler
+lower(const Uop &u, BoundOp &o)
+{
+    o.dst = u.dst;
+    o.src1 = u.src1;
+    o.src2 = u.src2;
+    o.imm = static_cast<u32>(u.imm);
+
+    const bool d = reg(u.dst);
+    const bool s1 = reg(u.src1);
+    const bool w4 = u.size == 4;
+    // Two-source ALU forms at size 4 without a flag write.
+    const bool rr = w4 && !u.hasImm && s1 && reg(u.src2) && d;
+    const bool ri = w4 && u.hasImm && s1 && d;
+    const bool nf = !u.writeFlags;
+    const int sh = scaleLog2(u.scale);
+    // Memory operands: base+disp, or base+index*scale+disp.
+    const bool mb = s1 && u.src2 == UREG_NONE;
+    const bool mbi = s1 && reg(u.src2) && sh >= 0;
+    o.shift = sh > 0 ? static_cast<u8>(sh) : 0;
+
+    switch (u.op) {
+      case UOp::Limm: return d ? H_Limm : H_Fallback;
+      case UOp::Mov: return d && s1 ? H_Mov : H_Fallback;
+      case UOp::Zext8: return d && s1 ? H_Zext8 : H_Fallback;
+      case UOp::Ins8: return d && s1 ? H_Ins8 : H_Fallback;
+      case UOp::InsHi8: return d && s1 ? H_InsHi8 : H_Fallback;
+      case UOp::Ins16: return d && s1 ? H_Ins16 : H_Fallback;
+
+      case UOp::Add:
+        if (rr)
+            return nf ? H_AddRR : H_AddRRF;
+        if (ri && nf)
+            return H_AddRI;
+        if (u.size == 2 && !u.hasImm && s1 && reg(u.src2) && d && nf)
+            return H_AddRR2;
+        return H_Fallback;
+      case UOp::Sub: return ri && nf ? H_SubRI : H_Fallback;
+      case UOp::And:
+        return rr && nf ? H_AndRR : ri && nf ? H_AndRI : H_Fallback;
+      case UOp::Or:
+        return rr && nf ? H_OrRR : ri && !nf ? H_OrRIF : H_Fallback;
+      case UOp::Xor:
+        return rr ? (nf ? H_XorRR : H_XorRRF) : H_Fallback;
+      case UOp::Cmp:
+        // Cmp always records its flags; it writes no register.
+        if (w4 && s1 && !u.hasImm && reg(u.src2))
+            return H_CmpRR;
+        return w4 && s1 && u.hasImm ? H_CmpRI : H_Fallback;
+      case UOp::Inc:
+        return w4 && d && s1 && !nf ? H_IncF : H_Fallback;
+      case UOp::Dec:
+        return w4 && d && s1 && !nf ? H_DecF : H_Fallback;
+      case UOp::Neg: return w4 && d && s1 && nf ? H_Neg : H_Fallback;
+      case UOp::Shl:
+      case UOp::Shr:
+        if (!(ri && nf))
+            return H_Fallback;
+        o.shift = static_cast<u8>(u.imm & 0x1f);
+        return u.op == UOp::Shl ? H_ShlRI : H_ShrRI;
+      case UOp::Imul: return ri && nf ? H_ImulRI : H_Fallback;
+      case UOp::DivWide: return w4 && s1 ? H_DivWide : H_Fallback;
+      case UOp::Setcc:
+        o.cond = u.cond;
+        return d && u.cond < 16 ? H_Setcc : H_Fallback;
+
+      case UOp::Ld:
+        return d && mb ? H_LdB : d && mbi ? H_LdBI : H_Fallback;
+      case UOp::St:
+        return d && mb ? H_StB : d && mbi ? H_StBI : H_Fallback;
+      case UOp::Lea: return d && mbi ? H_LeaBI : H_Fallback;
+
+      case UOp::Br:
+        o.cond = u.cond;
+        o.target = static_cast<u32>(u.target);
+        return u.cond < 16 && u.target == o.target ? H_Br : H_Fallback;
+
+      default:
+        return H_Fallback;
+    }
+}
+
 } // namespace
+
+std::size_t
+insnIndex(std::span<const Uop> body, std::span<const Addr> pcs,
+          std::size_t uop_index)
+{
+    const Uop &f = body[uop_index];
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < uop_index; ++i)
+        k += body[i].x86pc == f.x86pc && body[i].op == f.op;
+    for (std::size_t i = 0; i < pcs.size(); ++i) {
+        if (pcs[i] == f.x86pc && k-- == 0)
+            return i;
+    }
+    return pcs.size();
+}
+
+Binding
+bind(std::span<const Uop> body, std::span<const Addr> pcs)
+{
+    // Value-initialized: the marker after the last op is H_End (0).
+    BoundBody ops = std::make_unique<BoundOp[]>(body.size() + 1);
+    unsigned fallback = 0;
+    for (std::size_t i = 0; i < body.size(); ++i) {
+        const Uop &u = body[i];
+        BoundOp &o = ops[i];
+        o.handler = lower(u, o);
+        fallback += o.handler == H_Fallback;
+
+        // Exit ops carry the region's retired count when the body
+        // leaves there: through a taken branch its instruction
+        // completed; through a fault it did not.
+        const bool faults = u.op == UOp::DivWide ||
+                            u.op == UOp::IdivWide || u.op == UOp::Trap;
+        if (!u.isBranch() && !faults)
+            continue;
+        const std::size_t k = insnIndex(body, pcs, i);
+        const std::size_t n = u.isBranch() ? k + 1 : k;
+        if (k >= pcs.size() || n > UINT16_MAX)
+            return Binding{};
+        o.retire = static_cast<u16>(n);
+    }
+    return Binding{std::move(ops), fallback};
+}
+
+unsigned
+boundHandlerCount()
+{
+    return NUM_HANDLERS;
+}
 
 void
 UState::loadArch(const x86::CpuState &cpu)
@@ -450,6 +632,224 @@ UopExecutor::run(std::span<const Uop> uops, Addr fallthrough)
     }
     if (res.exit == BlockExit::FallThrough)
         res.nextPc = fallthrough;
+    settleFlags(st);
+    return res;
+}
+
+BlockResult
+UopExecutor::run(const BoundOp *ops, std::span<const Uop> records,
+                 Addr fallthrough)
+{
+    // Direct-threaded: every handler ends by jumping straight to the
+    // next op's handler. Table order is the Handler enum's.
+    static const void *const table[] = {
+#define CDVM_HANDLER_LABEL(name) &&h_##name,
+        CDVM_BOUND_HANDLERS(CDVM_HANDLER_LABEL)
+#undef CDVM_HANDLER_LABEL
+    };
+    static_assert(std::size(table) == NUM_HANDLERS);
+
+    // EFLAGS and the pending record live in locals for the whole
+    // body: no store to a guest register can alias them.
+    u32 *const r = st.regs.data();
+    u32 fl = st.eflags;
+    PendingFlags pf = st.pending;
+    const BoundOp *op = ops;
+    BlockResult res;
+
+    using Kind = PendingFlags::Kind;
+    auto defer = [&pf](Kind k, u32 a, u32 b) {
+        pf = PendingFlags{k, 4, a, b, 0};
+    };
+    // Inc/Dec: replace every arithmetic flag but CF.
+    auto incDec = [&](u32 f) {
+        settle(fl, pf);
+        f = (f & ~FLAG_CF) | (fl & FLAG_CF);
+        fl = (fl & ~FLAG_ALL) | (f & FLAG_ALL);
+    };
+    auto index = [&] { return static_cast<std::size_t>(op - ops); };
+
+#define CDVM_NEXT()                                                      \
+    do {                                                                 \
+        ++op;                                                            \
+        goto *table[op->handler];                                        \
+    } while (0)
+
+    goto *table[op->handler];
+
+  h_End:
+    res.nextPc = fallthrough;
+    res.uopsRun = static_cast<unsigned>(index());
+    goto done;
+
+  h_Fallback: {
+    const Uop &u = records[index()];
+    st.eflags = fl;
+    st.pending = pf;
+    const Outcome o = step(u);
+    fl = st.eflags;
+    pf = st.pending;
+    if (o.fault)
+        goto fault;
+    if (o.vmExit) {
+        res.exit = BlockExit::VmExit;
+        res.nextPc = u.x86pc;
+        goto left;
+    }
+    if (o.taken) {
+        res.nextPc = o.target;
+        goto branch;
+    }
+    CDVM_NEXT();
+  }
+
+  h_Limm:
+    r[op->dst] = op->imm;
+    CDVM_NEXT();
+  h_Mov:
+    r[op->dst] = r[op->src1];
+    CDVM_NEXT();
+  h_Zext8:
+    r[op->dst] = r[op->src1] & 0xff;
+    CDVM_NEXT();
+  h_Ins8:
+    r[op->dst] = (r[op->dst] & 0xffffff00) | (r[op->src1] & 0xff);
+    CDVM_NEXT();
+  h_InsHi8:
+    r[op->dst] = (r[op->dst] & 0xffff00ff) | ((r[op->src1] & 0xff) << 8);
+    CDVM_NEXT();
+  h_Ins16:
+    r[op->dst] = (r[op->dst] & 0xffff0000) | (r[op->src1] & 0xffff);
+    CDVM_NEXT();
+
+  h_AddRR:
+    r[op->dst] = r[op->src1] + r[op->src2];
+    CDVM_NEXT();
+  h_AddRI:
+    r[op->dst] = r[op->src1] + op->imm;
+    CDVM_NEXT();
+  h_AddRRF: {
+    const u32 a = r[op->src1], b = r[op->src2];
+    defer(Kind::Add, a, b);
+    r[op->dst] = a + b;
+    CDVM_NEXT();
+  }
+  h_AddRR2:
+    r[op->dst] = (r[op->src1] + r[op->src2]) & 0xffff;
+    CDVM_NEXT();
+  h_SubRI:
+    r[op->dst] = r[op->src1] - op->imm;
+    CDVM_NEXT();
+  h_AndRR:
+    r[op->dst] = r[op->src1] & r[op->src2];
+    CDVM_NEXT();
+  h_AndRI:
+    r[op->dst] = r[op->src1] & op->imm;
+    CDVM_NEXT();
+  h_OrRR:
+    r[op->dst] = r[op->src1] | r[op->src2];
+    CDVM_NEXT();
+  h_OrRIF: {
+    const u32 v = r[op->src1] | op->imm;
+    defer(Kind::Logic, v, 0);
+    r[op->dst] = v;
+    CDVM_NEXT();
+  }
+  h_XorRR:
+    r[op->dst] = r[op->src1] ^ r[op->src2];
+    CDVM_NEXT();
+  h_XorRRF: {
+    const u32 v = r[op->src1] ^ r[op->src2];
+    defer(Kind::Logic, v, 0);
+    r[op->dst] = v;
+    CDVM_NEXT();
+  }
+  h_CmpRR:
+    defer(Kind::Sub, r[op->src1], r[op->src2]);
+    CDVM_NEXT();
+  h_CmpRI:
+    defer(Kind::Sub, r[op->src1], op->imm);
+    CDVM_NEXT();
+  h_IncF: {
+    u32 v;
+    incDec(flags::add(r[op->src1], 1, 0, 4, v));
+    r[op->dst] = v;
+    CDVM_NEXT();
+  }
+  h_DecF: {
+    u32 v;
+    incDec(flags::sub(r[op->src1], 1, 0, 4, v));
+    r[op->dst] = v;
+    CDVM_NEXT();
+  }
+  h_Neg:
+    r[op->dst] = 0 - r[op->src1];
+    CDVM_NEXT();
+  h_ShlRI:
+    r[op->dst] = r[op->src1] << op->shift;
+    CDVM_NEXT();
+  h_ShrRI:
+    r[op->dst] = r[op->src1] >> op->shift;
+    CDVM_NEXT();
+  h_ImulRI: {
+    u32 f;
+    r[op->dst] = flags::imulTrunc(r[op->src1], op->imm, 4, f);
+    CDVM_NEXT();
+  }
+  h_DivWide: {
+    const flags::WideDiv wd =
+        flags::divWide(false, r[R_EDX], r[R_EAX], r[op->src1], 4);
+    if (wd.fault)
+        goto fault;
+    r[R_EAX] = wd.quot;
+    r[R_EDX] = wd.rem;
+    CDVM_NEXT();
+  }
+  h_Setcc:
+    settle(fl, pf);
+    r[op->dst] = x86::condTrue(static_cast<x86::Cond>(op->cond), fl);
+    CDVM_NEXT();
+
+  h_LdB:
+    r[op->dst] = mem.read32(op->imm + r[op->src1]);
+    CDVM_NEXT();
+  h_LdBI:
+    r[op->dst] = mem.read32(op->imm + r[op->src1] +
+                            (r[op->src2] << op->shift));
+    CDVM_NEXT();
+  h_StB:
+    mem.write32(op->imm + r[op->src1], r[op->dst]);
+    CDVM_NEXT();
+  h_StBI:
+    mem.write32(op->imm + r[op->src1] + (r[op->src2] << op->shift),
+                r[op->dst]);
+    CDVM_NEXT();
+  h_LeaBI:
+    r[op->dst] = op->imm + r[op->src1] + (r[op->src2] << op->shift);
+    CDVM_NEXT();
+
+  h_Br:
+    settle(fl, pf);
+    if (x86::condTrue(static_cast<x86::Cond>(op->cond), fl)) {
+        res.nextPc = op->target;
+        goto branch;
+    }
+    CDVM_NEXT();
+
+#undef CDVM_NEXT
+
+  fault:
+    res.exit = BlockExit::Fault;
+    res.faultIndex = static_cast<int>(index());
+    res.faultX86Pc = records[index()].x86pc;
+    goto left;
+  branch:
+    res.exit = BlockExit::Branch;
+  left:
+    res.uopsRun = static_cast<unsigned>(index()) + 1;
+  done:
+    st.eflags = fl;
+    st.pending = pf;
     settleFlags(st);
     return res;
 }

@@ -7,12 +7,32 @@
  * state (R0..R7 == EAX..EDI plus EFLAGS). It is the functional truth
  * for "translated native mode" execution and is differentially tested
  * against the x86 reference interpreter.
+ *
+ * A body runs in one of two forms:
+ *
+ *  - the record form: run() walks the 32-byte Uop records through
+ *    step(), one switch that tests each record's operand fields. BBT
+ *    blocks and every caller outside the code cache use it, and
+ *    step() is the reference semantics of every micro-op.
+ *  - the bound form: bind() lowers a superblock body once, at code
+ *    cache install, into one 16-byte BoundOp per micro-op whose
+ *    handler is specialized to the opcode, operand size,
+ *    register-or-immediate source, flag write and address mode, with
+ *    the operands resolved. run() over a BoundBody dispatches it
+ *    direct-threaded: each handler jumps straight to the next op's.
+ *    A form without its own handler binds to a fallback handler that
+ *    runs the record through step(). Each exit op also carries the
+ *    instructions the region retires when it leaves there.
+ *
+ * Both forms keep the lazy-flag contract: EFLAGS are architected
+ * whenever run() or exec() returns.
  */
 
 #ifndef CDVM_UOPS_EXEC_HH
 #define CDVM_UOPS_EXEC_HH
 
 #include <array>
+#include <memory>
 
 #include "common/types.hh"
 #include "uops/uop.hh"
@@ -100,6 +120,65 @@ struct BlockResult
     Addr faultX86Pc = 0;    //!< x86 PC tag of the faulting micro-op
 };
 
+/**
+ * One micro-op in bound form: the handler bind() chose for it and the
+ * operands that handler reads, resolved once.
+ */
+struct BoundOp
+{
+    u8 handler = 0; //!< index into the executor's handler table
+    u8 dst = 0;
+    u8 src1 = 0;
+    u8 src2 = 0;    //!< also the index register of a memory op
+    u8 shift = 0;   //!< log2 of the index scale; shift count
+    u8 cond = 0;    //!< x86 condition of Br / Setcc
+    /** x86 instructions the region has retired when the body leaves
+     *  at this op: through a taken branch (the owning instruction
+     *  completed) or a fault (it did not). */
+    u16 retire = 0;
+    u32 imm = 0;    //!< immediate or memory displacement
+    u32 target = 0; //!< x86 target of Br
+};
+static_assert(sizeof(BoundOp) == 16);
+
+/**
+ * A body in bound form: one BoundOp per micro-op of the record body it
+ * was bound from, in order, then an end marker. The record body stays
+ * the reference: the fallback handler, and fault reports, read it.
+ */
+using BoundBody = std::unique_ptr<BoundOp[]>;
+
+/** bind()'s result. */
+struct Binding
+{
+    BoundBody ops;            //!< null: the body runs in record form
+    unsigned fallbackOps = 0; //!< ops bound to the fallback handler
+};
+
+/**
+ * Lower a region body into bound form. pcs is the region's precise-
+ * state pc table, which gives each exit op its retire count. A body
+ * with an exit op whose pc the table lacks, or whose count does not
+ * fit a BoundOp, stays unbound.
+ */
+Binding bind(std::span<const Uop> body, std::span<const Addr> pcs);
+
+/**
+ * Position in the pc table of the instruction that owns the micro-op
+ * at uop_index, for a micro-op that faults or branches. A pc can recur
+ * in a superblock (a trace that re-enters a block part-way), so the
+ * k-th such micro-op of a pc is matched to the pc's k-th table entry:
+ * each instruction cracks to at most one branch micro-op and at most
+ * one faulting one, and no pass removes either or moves it across
+ * another instruction's. Returns pcs.size() when the pc table has no
+ * such entry.
+ */
+std::size_t insnIndex(std::span<const Uop> body, std::span<const Addr> pcs,
+                      std::size_t uop_index);
+
+/** Handlers in the bound form's table, End and Fallback included. */
+unsigned boundHandlerCount();
+
 /** Micro-op executor over a UState and guest Memory. */
 class UopExecutor
 {
@@ -120,6 +199,14 @@ class UopExecutor
      * @param fallthrough   x86 PC that follows the translated region.
      */
     BlockResult run(std::span<const Uop> uops, Addr fallthrough);
+
+    /**
+     * Execute a body in bound form, direct-threaded. Same contract and
+     * BlockResult as the record-form run() over records, the body it
+     * was bound from.
+     */
+    BlockResult run(const BoundOp *ops, std::span<const Uop> records,
+                    Addr fallthrough);
 
     /** Outcome of a single micro-op (used by run and by the HAloop). */
     struct Outcome

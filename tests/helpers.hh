@@ -60,7 +60,9 @@ runVmm(const workload::Program &prog, x86::Memory &mem,
 }
 
 /**
- * Compare two runs' architected state and memory windows.
+ * Compare two runs' architected state and memory windows, and, when
+ * both halted, the instructions they retired: every tier must account
+ * for exactly the instructions the interpreter runs.
  *
  * AssertionResult-style predicate: usable as
  * EXPECT_TRUE(sameOutcome(...)) << "seed " << seed, so a failing
@@ -76,6 +78,9 @@ sameOutcome(const workload::Program &prog, const RunResult &ref,
     if (ref.exit != got.exit)
         why << " exit " << static_cast<int>(ref.exit) << " vs "
             << static_cast<int>(got.exit) << ";";
+    if (ref.exit == x86::Exit::Halted && got.exit == x86::Exit::Halted &&
+        ref.retired != got.retired)
+        why << " retired " << ref.retired << " vs " << got.retired << ";";
     if (ref.cpu.eip != got.cpu.eip)
         why << " eip 0x" << std::hex << ref.cpu.eip << " vs 0x"
             << got.cpu.eip << std::dec << ";";

@@ -1,12 +1,15 @@
 /**
  * @file
  * Cracking + micro-op executor differential tests: for random
- * instruction mixes, executing the cracked micro-ops must produce the
- * same architected state as the reference interpreter, instruction by
- * instruction.
+ * instruction mixes, executing the cracked micro-ops, in record form
+ * and bound, must produce the same architected state as the reference
+ * interpreter, instruction by instruction; and every micro-op form
+ * must run the same bound as through step().
  */
 
+#include <algorithm>
 #include <functional>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -47,12 +50,13 @@ randomState(Pcg32 &rng)
 }
 
 /**
- * Execute one decoded instruction both ways from the same initial
- * state and compare everything.
+ * Execute one decoded instruction from the same initial state through
+ * the interpreter and through its cracked micro-ops, in record form or
+ * bound, and compare everything.
  */
 void
-checkInsn(const Insn &in, const CpuState &start, Memory &mem_template,
-          const std::string &label)
+checkInsnForm(const Insn &in, const CpuState &start,
+              Memory &mem_template, bool bound, const std::string &label)
 {
     // Interpreter path.
     Memory mem_a = mem_template;
@@ -62,11 +66,16 @@ checkInsn(const Insn &in, const CpuState &start, Memory &mem_template,
 
     // Cracked micro-op path.
     uops::CrackResult cr = uops::crack(in);
+    const Addr pcs[] = {in.pc};
+    const uops::Binding b = uops::bind(cr.uops, pcs);
+    ASSERT_TRUE(b.ops) << label;
     Memory mem_b = mem_template;
     UState ust;
     ust.loadArch(start);
     UopExecutor exe(ust, mem_b);
-    uops::BlockResult br = exe.run(cr.uops, in.nextPc());
+    const uops::BlockResult br =
+        bound ? exe.run(b.ops.get(), cr.uops, in.nextPc())
+              : exe.run(cr.uops, in.nextPc());
     CpuState cpu_b = start;
     ust.storeArch(cpu_b);
     cpu_b.eip = static_cast<u32>(br.nextPc);
@@ -101,6 +110,14 @@ checkInsn(const Insn &in, const CpuState &start, Memory &mem_template,
     std::vector<u8> sa = mem_a.readBlock(0x7ffeff00, 0x200);
     std::vector<u8> sb = mem_b.readBlock(0x7ffeff00, 0x200);
     EXPECT_EQ(sa, sb) << label << "\n  insn: " << in.toString();
+}
+
+void
+checkInsn(const Insn &in, const CpuState &start, Memory &mem_template,
+          const std::string &label)
+{
+    checkInsnForm(in, start, mem_template, false, label);
+    checkInsnForm(in, start, mem_template, true, label + " (bound)");
 }
 
 /** Decode the single instruction an assembler callback emits. */
@@ -469,8 +486,8 @@ TEST(CrackExec, LazyFlagsMatchInterpreterAtEveryConsumer)
     // computes EFLAGS only where something reads them. Run a stale
     // producer, then every producer, then every consumer, as ONE
     // block, so each consumer meets a pending record; the outcome
-    // must equal the interpreter's, through run() and through exec()
-    // one micro-op at a time.
+    // must equal the interpreter's, through run() in record form and
+    // bound, and through exec() one micro-op at a time.
     using x86::Operand;
     const Operand eax = Operand::makeReg(x86::EAX);
     const Operand ebx = Operand::makeReg(x86::EBX);
@@ -551,6 +568,11 @@ TEST(CrackExec, LazyFlagsMatchInterpreterAtEveryConsumer)
                     block[i].length = 4;
                 }
                 const uops::UopVec body = uops::crackAll(block).uops;
+                std::vector<Addr> pcs;
+                for (const Insn &in : block)
+                    pcs.push_back(in.pc);
+                const uops::Binding bound = uops::bind(body, pcs);
+                ASSERT_TRUE(bound.ops);
 
                 for (std::size_t k = 0; k < std::size(vals) *
                                                 std::size(vals);
@@ -581,6 +603,13 @@ TEST(CrackExec, LazyFlagsMatchInterpreterAtEveryConsumer)
                     ust.storeArch(got);
                     got.eip = static_cast<u32>(br.nextPc);
 
+                    UState bst;
+                    bst.loadArch(start);
+                    UopExecutor bexe(bst, mem);
+                    const uops::BlockResult bbr =
+                        bexe.run(bound.ops.get(), body,
+                                 block.back().nextPc());
+
                     // exec(), the HAloop's entry point, must leave
                     // EFLAGS architected after every micro-op.
                     UState one;
@@ -602,7 +631,11 @@ TEST(CrackExec, LazyFlagsMatchInterpreterAtEveryConsumer)
                             (ref.eflags & x86::FLAG_ALL) &&
                         ust.pending.kind == uops::PendingFlags::Kind::None &&
                         settled && one.regs == ust.regs &&
-                        one.eflags == ust.eflags;
+                        one.eflags == ust.eflags && bst.regs == ust.regs &&
+                        bst.eflags == ust.eflags &&
+                        bst.pending.kind == uops::PendingFlags::Kind::None &&
+                        bbr.nextPc == br.nextPc &&
+                        bbr.uopsRun == br.uopsRun;
                     if (!same && ++mismatches <= 5) {
                         ADD_FAILURE()
                             << "size " << size << ": "
@@ -622,6 +655,163 @@ TEST(CrackExec, LazyFlagsMatchInterpreterAtEveryConsumer)
         }
     }
     EXPECT_EQ(mismatches, 0u) << "of " << runs << " blocks";
+}
+
+/** XLTx86 stand-in: echoes the source window, reports a fixed CSR. */
+class EchoXlt : public uops::XltHandler
+{
+  public:
+    u32
+    translate(const u8 src[16], u8 dst[16]) override
+    {
+        std::copy(src, src + 16, dst);
+        return 0x5;
+    }
+};
+
+TEST(BoundForm, EveryFormMatchesStepAndTheRecordForm)
+{
+    // Lower every micro-op form -- opcode x size 1/2/4 x register or
+    // immediate source x flag write x UREG_NONE operands x address
+    // mode -- between a pending flag producer and a flag consumer, and
+    // run it bound, in record form and through exec() one micro-op at
+    // a time, from several states. Registers, EFLAGS, memory and the
+    // BlockResult must agree, and every handler must be reached.
+    using uops::Uop;
+    using uops::UOp;
+    constexpr u8 NONE = uops::UREG_NONE;
+    constexpr Addr PC0 = 0x1000;
+    const Addr pcs[] = {PC0, PC0 + 4, PC0 + 8};
+
+    Memory mem_template;
+    Pcg32 rng(5, 9);
+    for (Addr a = 0x00800000; a < 0x00801000; a += 4)
+        mem_template.write32(a, rng.next());
+
+    std::vector<UState> starts(4);
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+        UState &s = starts[i];
+        for (u32 &v : s.regs)
+            v = rng.next();
+        s.regs[uops::R_EBX] = 0x00800100 + static_cast<u32>(i) * 0x3f;
+        static const u32 index[] = {3, 0xffffffff, 0x80000000, 0};
+        s.regs[uops::R_ECX] = index[i];
+        s.regs[uops::R_EDX] = i == 1 ? 0x00900000 : static_cast<u32>(i);
+        s.regs[uops::R_ESI] = i & 1 ? 0x80000000 : 0xff;
+        s.regs[uops::R_EDI] = i & 2 ? 0x7fffffff : 0xff;
+        s.eflags = 0x202 | ((i & 1) ? static_cast<u32>(x86::FLAG_ALL) : 0);
+        for (auto &f : s.fregs)
+            f.fill(static_cast<u8>(i * 7));
+        s.csr = static_cast<u32>(i);
+    }
+    static const i32 imms[] = {0x40, -1, 0x7f, 0x11};
+
+    EchoXlt xlt;
+    std::set<u8> reached;
+    unsigned forms = 0, mismatches = 0;
+    for (unsigned opi = 0; opi < static_cast<unsigned>(UOp::NUM_UOPS);
+         ++opi) {
+      for (unsigned size : {1u, 2u, 4u}) {
+      for (bool has_imm : {false, true}) {
+      for (bool wf : {false, true}) {
+      for (u8 dst : {u8{uops::R_T0}, u8{uops::R_EBX}, NONE}) {
+      for (u8 src1 : {u8{uops::R_EBX}, u8{uops::R_ESI}, NONE}) {
+      for (u8 src2 : {u8{uops::R_ECX}, NONE}) {
+      for (u8 scale : {u8{1}, u8{4}, u8{3}}) {
+        Uop u;
+        u.op = static_cast<UOp>(opi);
+        if (scale != 1 && !u.isMem() && u.op != UOp::Lea)
+            continue; // the scale is an address-mode field
+        u.size = static_cast<u8>(size);
+        u.hasImm = has_imm;
+        u.writeFlags = wf;
+        u.dst = dst;
+        u.src1 = src1;
+        u.src2 = src2;
+        u.scale = scale;
+        u.imm = imms[forms % std::size(imms)];
+        // x86 conditions, and for Br also the CSR tests and Always.
+        u.cond = static_cast<u8>(forms % (u.op == UOp::Br ? 19 : 16));
+        u.target = 0x3000;
+        u.x86pc = PC0 + 4;
+
+        // A pending Sub record before, a flag consumer after.
+        Uop producer;
+        producer.op = UOp::Sub;
+        producer.dst = uops::R_T3;
+        producer.src1 = uops::R_ESI;
+        producer.src2 = uops::R_EDI;
+        producer.writeFlags = true;
+        producer.x86pc = PC0;
+        Uop consumer;
+        consumer.op = UOp::Setcc;
+        consumer.dst = uops::R_T2;
+        consumer.cond = static_cast<u8>(forms % 16);
+        consumer.x86pc = PC0 + 8;
+        const std::vector<Uop> body{producer, u, consumer};
+        ++forms;
+
+        const uops::Binding b = uops::bind(body, pcs);
+        ASSERT_TRUE(b.ops);
+        for (std::size_t i = 0; i <= body.size(); ++i)
+            reached.insert(b.ops[i].handler);
+        if (u.isBranch()) {
+            EXPECT_EQ(b.ops[1].retire, 2u);
+        } else if (u.op == UOp::DivWide || u.op == UOp::IdivWide ||
+                   u.op == UOp::Trap) {
+            EXPECT_EQ(b.ops[1].retire, 1u);
+        }
+
+        for (const UState &start : starts) {
+            Memory mem_r = mem_template, mem_b = mem_template,
+                   mem_e = mem_template;
+            UState sr = start, sb = start, se = start;
+            UopExecutor er(sr, mem_r), eb(sb, mem_b), ee(se, mem_e);
+            er.setXltHandler(&xlt);
+            eb.setXltHandler(&xlt);
+            ee.setXltHandler(&xlt);
+            const uops::BlockResult rr = er.run(body, 0x2000);
+            const uops::BlockResult rb =
+                eb.run(b.ops.get(), body, 0x2000);
+            for (const Uop &x : body) {
+                const UopExecutor::Outcome o = ee.exec(x);
+                if (o.taken || o.fault || o.vmExit)
+                    break;
+            }
+
+            // Memory: the data window and the effective address.
+            const Addr ea =
+                static_cast<u32>(u.imm) +
+                (u.src1 != NONE ? start.regs[u.src1] : 0) +
+                (u.src2 != NONE ? start.regs[u.src2] * u.scale : 0);
+            auto bytes = [&](Memory &m) {
+                std::vector<u8> v = m.readBlock(0x00800000, 0x1000);
+                const std::vector<u8> at =
+                    m.readBlock(static_cast<u32>(ea), 16);
+                v.insert(v.end(), at.begin(), at.end());
+                return v;
+            };
+            const bool same =
+                sb.regs == sr.regs && sb.eflags == sr.eflags &&
+                sb.fregs == sr.fregs && sb.csr == sr.csr &&
+                sb.pending.kind == uops::PendingFlags::Kind::None &&
+                se.regs == sr.regs && se.eflags == sr.eflags &&
+                rb.exit == rr.exit && rb.nextPc == rr.nextPc &&
+                rb.uopsRun == rr.uopsRun &&
+                rb.faultIndex == rr.faultIndex &&
+                rb.faultX86Pc == rr.faultX86Pc &&
+                bytes(mem_b) == bytes(mem_r) &&
+                bytes(mem_e) == bytes(mem_r);
+            if (!same && ++mismatches <= 5)
+                ADD_FAILURE() << "form " << u.toString() << " size "
+                              << size << " handler "
+                              << int(b.ops[1].handler);
+        }
+      }}}}}}}
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << forms << " forms";
+    EXPECT_EQ(reached.size(), uops::boundHandlerCount())
+        << "a handler no form lowers to";
 }
 
 } // namespace

@@ -824,7 +824,9 @@ TEST(Image, ZeroCopyInstallStats)
     EXPECT_EQ(mr.mappedBytes, img.sizeBytes());
     EXPECT_EQ(mr.relocations, img.relocs().size());
 
-    // Installed translations really are views into the image.
+    // Installed translations really are views into the image, and a
+    // superblock's bound form is an array of this process's own.
+    std::size_t superblocks = 0;
     for (std::size_t i = 0; i < img.recordCount(); ++i) {
         const dbt::TransImage::RecordView v = img.record(i);
         const dbt::Translation *t =
@@ -834,7 +836,11 @@ TEST(Image, ZeroCopyInstallStats)
         EXPECT_TRUE(t->mappedBody()) << i;
         EXPECT_EQ(t->code().data(), v.uops.data()) << i;
         EXPECT_EQ(t->pcSpan().data(), v.x86pcs.data()) << i;
+        const bool sb = t->kind == dbt::TransKind::Superblock;
+        superblocks += sb;
+        EXPECT_EQ(t->bound != nullptr, sb) << i;
     }
+    EXPECT_GT(superblocks, 0u) << "no superblock records to bind";
 }
 
 TEST(Image, WarmRunBitIdenticalToCold)

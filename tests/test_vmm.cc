@@ -101,6 +101,51 @@ TEST(Vmm, PreciseStateOnDivideFault)
     }
 }
 
+TEST(Vmm, SideExitAtARepeatedPcRetiresTheLaterCopy)
+{
+    // The superblock seeded at `top` runs top's block, follows the
+    // jump back to `inner` -- part-way into the block it already
+    // holds -- and so holds inner's three instructions twice. The
+    // inner count alternates 2 and 6: at 2 the body leaves through
+    // the second copy of `je outer`, and the region must retire
+    // every instruction up to that copy, not up to the first one.
+    Assembler as(0x1000);
+    auto top = as.newLabel();
+    auto inner = as.newLabel();
+    auto outer = as.newLabel();
+    as.movRI(EDI, 3000);
+    as.movRI(EBX, 0);
+    as.bind(top);
+    as.aluRI(Op::Xor, EBX, 4);
+    as.movRR(ECX, EBX);
+    as.aluRI(Op::Add, ECX, 2); // 2 or 6 inner passes
+    as.bind(inner);
+    as.aluRI(Op::Add, ESI, 3);
+    as.dec(ECX);
+    as.jcc(Cond::E, outer); // taken 1 time in 4: not taken on trace
+    as.jmp(inner);
+    as.bind(outer);
+    as.dec(EDI);
+    as.jcc(Cond::NE, top);
+    as.hlt();
+    workload::Program prog = test::snippetProgram(as);
+
+    x86::Memory ref_mem;
+    test::RunResult ref = test::runInterp(prog, ref_mem);
+    ASSERT_EQ(static_cast<int>(ref.exit), static_cast<int>(Exit::Halted));
+    for (const char *name : {"vm.soft", "vm.soft.tmpl", "vm.be",
+                             "vm.soft.async"}) {
+        vmm::VmmConfig cfg = *engine::EngineConfig::byName(name);
+        cfg.hotThreshold = 500;
+        x86::Memory mem;
+        vmm::VmmStats st;
+        test::RunResult got = test::runVmm(prog, mem, cfg, &st);
+        EXPECT_TRUE(test::sameOutcome(prog, ref, ref_mem, got, mem))
+            << name;
+        EXPECT_GT(st.insnsSbtCode, st.insnsBbtCode) << name;
+    }
+}
+
 TEST(Vmm, CodeCacheArenaIsNotGuestVisible)
 {
     // Translator state lives in concealed memory: installing a
